@@ -6,11 +6,14 @@ Solves
     s.t. A_eq x  = b_eq
          A_in x <= b_in
 
-with B symmetric positive definite.  A feasible starting point is found by
-a least-squares solve on the equalities followed, if needed, by a slack
-phase-1 QP solved with the same active-set core.  Equality-constrained
-subproblems are solved through the KKT system with an SVD fallback for
-degenerate working sets.
+with B symmetric positive definite.  The starting point is, in order of
+preference: the equality-constrained solution on the warm working set
+``W0`` when it is feasible; a given feasible ``x0``; a least-squares solve
+on the equalities; and, when that violates an inequality, the result of a
+slack phase-1 QP, solved with the same active-set core and seeded with the
+rows active at its slack start.  Equality-constrained subproblems are
+solved through the KKT system with an SVD fallback for degenerate working
+sets.
 
 The same routine backs the SQP subproblems, the elastic-mode relaxation,
 the multiplier least-squares fit and the positive-linear-independence
@@ -115,24 +118,14 @@ def solve_qp(
         ok_in = m == 0 or np.max(A_in @ x0 - b_in) <= feas_tol
         if ok_eq and ok_in:
             x = x0.copy()
-    if x is None:
-        if p > 0:
-            x = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
-            if np.max(np.abs(A_eq @ x - b_eq)) > 1e-7 * scale:
-                return QpResult(x, np.zeros(m), np.zeros(p), "infeasible", 0)
-        else:
-            x = np.zeros(n)
-        if m > 0 and np.max(A_in @ x - b_in) > feas_tol:
-            x = _phase1(A_eq, b_eq, A_in, b_in, x)
-            if x is None:
-                return QpResult(np.zeros(n), np.zeros(m), np.zeros(p), "infeasible", 0)
 
     # Warm start: jump to the equality-constrained solution on the warm
     # working set when that point is feasible -- the rows of a useful warm
-    # set are active at the solution, not at the phase-1 point, so
-    # filtering them against the current activity would discard them and
-    # force the active set to be rebuilt one row per iteration.
-    W: list = []
+    # set are active at the solution, not at a phase-1 point, so filtering
+    # them against the current activity would discard them and force the
+    # active set to be rebuilt one row per iteration.  It is tried first
+    # because a feasible warm point makes phase 1 unnecessary.
+    x_warm = None
     if W0:
         W_try = [i for i in W0 if 0 <= i < m]
         if p + len(W_try) <= n and len(W_try) == len(set(W_try)):
@@ -147,8 +140,29 @@ def solve_qp(
                 and np.all(np.isfinite(x_try))
                 and (m == 0 or np.max(A_in @ x_try - b_in) <= feas_tol)
             ):
-                x = x_try
-                W = list(W_try)
+                x_warm = x_try
+    # The warm point stands in for a constructed feasible one only if it
+    # also satisfies the equalities: on inconsistent ones the SVD fallback
+    # of _eqp returns a least-squares point.
+    if x is None and x_warm is not None:
+        if p == 0 or np.max(np.abs(A_eq @ x_warm - b_eq)) <= feas_tol:
+            x = x_warm
+    if x is None:
+        if p > 0:
+            x = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
+            if np.max(np.abs(A_eq @ x - b_eq)) > 1e-7 * scale:
+                return QpResult(x, np.zeros(m), np.zeros(p), "infeasible", 0)
+        else:
+            x = np.zeros(n)
+        if m > 0 and np.max(A_in @ x - b_in) > feas_tol:
+            x = _phase1(A_eq, b_eq, A_in, b_in, x)
+            if x is None:
+                return QpResult(np.zeros(n), np.zeros(m), np.zeros(p), "infeasible", 0)
+
+    W: list = []
+    if x_warm is not None:
+        x = x_warm
+        W = list(W_try)
     if not W:
         resid = A_in @ x - b_in if m else np.zeros(0)
         active = set(np.flatnonzero(resid >= -10 * feas_tol).tolist())
@@ -228,7 +242,13 @@ def _phase1(A_eq, b_eq, A_in, b_in, x_init):
     A = np.vstack([A1, A2])
     b = np.concatenate([b_in, np.zeros(m)])
     z0 = np.concatenate([x_init, s_init])
-    res = solve_qp(B, c, A_eq_x, b_eq, A, b, x0=z0)
+    # Seed the working set with the rows active at z0: the shifted row of a
+    # violated inequality, the slack bound of every other one.  From an empty
+    # set the first step would add exactly these rows, one degenerate
+    # (zero-length) iteration each and lowest index first; they are listed
+    # in that order because the order steers later ties and rounding.
+    W0 = [j for j in range(m) if s_init[j] > 0] + [m + j for j in range(m) if s_init[j] <= 0]
+    res = solve_qp(B, c, A_eq_x, b_eq, A, b, x0=z0, W0=W0)
     if res.status == "infeasible":
         return None
     x = res.x[:n]

@@ -165,11 +165,6 @@ _KERNELS: dict[Scheme, Callable[[float, float, float], tuple[float, float, float
 }
 
 
-def kernel(scheme: Scheme) -> Callable[[float, float, float], tuple[float, float, float]]:
-    """The scalar kernel of a scheme."""
-    return _KERNELS[scheme]
-
-
 def _assemble(
     problem: MpvcProblem,
     scheme: Optional[Scheme],

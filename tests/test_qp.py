@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpvc import qp
 from mpvc.qp import solve_qp, solve_qp_elastic
 
 
@@ -110,6 +111,41 @@ def test_warm_start_working_set():
     warm = solve_qp(B, c, np.zeros((0, 2)), np.zeros(0), A, b, W0=cold.working_set)
     np.testing.assert_allclose(cold.x, warm.x)
     assert warm.iterations <= cold.iterations
+
+
+def test_feasible_warm_point_skips_phase1(monkeypatch):
+    # 1 <= x1 <= 2 with the minimizer pushed to x1 = 2: the least-squares
+    # start x = 0 violates x1 >= 1, the EQP point on the warm set does not
+    calls = []
+    phase1 = qp._phase1
+
+    def counting_phase1(*args):
+        calls.append(1)
+        return phase1(*args)
+
+    monkeypatch.setattr(qp, "_phase1", counting_phase1)
+    B = np.eye(2)
+    c = np.array([-3.0, 0.0])
+    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    b = np.array([2.0, -1.0])
+    cold = solve_qp(B, c, np.zeros((0, 2)), np.zeros(0), A, b)
+    assert len(calls) == 1
+    warm = solve_qp(B, c, np.zeros((0, 2)), np.zeros(0), A, b, W0=cold.working_set)
+    assert len(calls) == 1
+    assert warm.status == cold.status == "optimal"
+    np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
+    np.testing.assert_allclose(warm.lam, cold.lam, atol=1e-12)
+
+
+def test_inconsistent_equalities_with_warm_set_are_infeasible():
+    # x1 = 0 and x1 = 1: the SVD fallback puts the warm EQP point at
+    # x1 = 0.5, which satisfies the inequality but neither equality
+    A_eq = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    b_eq = np.array([0.0, 1.0])
+    A_in = np.array([[0.0, 1.0, 0.0]])
+    b_in = np.array([1.0])
+    res = solve_qp(np.eye(3), np.zeros(3), A_eq, b_eq, A_in, b_in, W0=[0])
+    assert res.status == "infeasible"
 
 
 def test_elastic_relaxation_of_infeasible_rows():

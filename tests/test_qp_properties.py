@@ -1,0 +1,82 @@
+"""Property tests of the active-set QP: the starting point and the starting
+working set choose only the path, never the optimum of a strictly convex
+QP, and phase 1 finds a feasible point exactly when one exists."""
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from mpvc.qp import _phase1, solve_qp  # noqa: E402
+from test_qp import kkt_ok  # noqa: E402
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def feasible_polytope(rng, n, p, m, tight):
+    """Rows A_eq x = b_eq, A_in x <= b_in around a point x_f they hold at;
+    the first ``tight`` inequalities are active at x_f."""
+    x_f = rng.normal(size=n)
+    A_eq = rng.normal(size=(p, n))
+    A_in = rng.normal(size=(m, n))
+    slack = rng.uniform(0.1, 2.0, size=m)
+    slack[:tight] = 0.0
+    return A_eq, A_eq @ x_f, A_in, A_in @ x_f + slack
+
+
+def convex_objective(rng, n):
+    M = rng.normal(size=(n, n))
+    return M @ M.T + n * np.eye(n), 3.0 * rng.normal(size=n)
+
+
+sizes = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.integers(0, n - 1), st.integers(0, 8), st.integers(0, 2**32 - 1)
+    )
+)
+
+
+@SETTINGS
+@given(sizes, st.integers(0, 3))
+def test_start_does_not_change_the_optimum(dims, tight):
+    n, p, m, seed = dims
+    rng = np.random.default_rng(seed)
+    A_eq, b_eq, A_in, b_in = feasible_polytope(rng, n, p, m, min(tight, m, n - p))
+    B, c = convex_objective(rng, n)
+    qp = (B, c, A_eq, b_eq, A_in, b_in)
+    cold = solve_qp(*qp)
+    assert cold.status == "optimal"
+    assert kkt_ok(*qp, cold)
+    subset = [i for i in range(m) if rng.random() < 0.5]
+    for W0 in (cold.working_set, subset):
+        warm = solve_qp(*qp, W0=W0)
+        assert warm.status == "optimal", W0
+        assert kkt_ok(*qp, warm), W0
+        np.testing.assert_allclose(warm.x, cold.x, atol=1e-8)
+
+
+@SETTINGS
+@given(sizes, st.booleans())
+def test_phase1_finds_a_feasible_point_iff_one_exists(dims, consistent):
+    n, p, m, seed = dims
+    m = max(m, 1)   # solve_qp calls phase 1 only to satisfy inequalities
+    rng = np.random.default_rng(seed)
+    A_eq, b_eq, A_in, b_in = feasible_polytope(rng, n, p, m, 0)
+    if not consistent:
+        # a . x <= beta and a . x >= beta + 1 exclude each other
+        a = rng.normal(size=n)
+        A_in = np.vstack([A_in, a, -a])
+        b_in = np.concatenate([b_in, [0.5, -1.5]])
+    # phase 1 starts from a point on the equalities, as solve_qp hands it
+    x_init = 5.0 * rng.normal(size=n)
+    if p:
+        x_init -= np.linalg.lstsq(A_eq, A_eq @ x_init - b_eq, rcond=None)[0]
+    x = _phase1(A_eq, b_eq, A_in, b_in, x_init)
+    if not consistent:
+        assert x is None
+        return
+    assert x is not None
+    tol = 1e-7 * (1.0 + np.max(np.abs(b_in)))
+    assert np.max(A_in @ x - b_in) <= tol
+    if p:
+        assert np.max(np.abs(A_eq @ x - b_eq)) <= tol
