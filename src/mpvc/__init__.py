@@ -17,7 +17,6 @@ from .model import (
     empty_vector_fn,
     full_violation,
     index_sets,
-    is_feasible,
     max_vio,
 )
 from .regularize import (
@@ -53,7 +52,7 @@ from .driver import DriverConfig, DriverResult, DriverTrace, StopReason, solve_m
 
 __all__ = [
     "MpvcProblem", "IndexSets", "index_sets", "max_vio", "full_violation",
-    "is_feasible", "empty_vector_fn",
+    "empty_vector_fn",
     "Scheme", "Nlp", "RowProvenance", "regularize", "direct_nlp",
     "theta", "theta_prime", "kernel_global", "phi_su", "phi_ks", "phi_kdb",
     "NlpSolution", "SolverLimits", "SolveStatus", "solve_nlp", "check_eps_stationary",

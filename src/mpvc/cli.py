@@ -95,7 +95,7 @@ def run_single(problem, scheme_name: str, config_builder, x0):
             "full_violation": full_violation(problem, x),
             "grade": grade,
             "outer_iterations": 1,
-            "inner_iterations": sol.iterations,
+            "inner_iterations": sol.total_iterations,
             "status": sol.status.value,
             "converged": sol.status is SolveStatus.CONVERGED,
         }
@@ -243,7 +243,6 @@ def cmd_grid(args) -> int:
         return 2
     points = _grid_points(args.grid)
     rows, summary = run_grid(args.problem, args.scheme, points, jobs=args.jobs)
-    summary["seed"] = args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "grid.csv", "w", newline="") as fh:
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--nodes", type=int, default=None,
                        help="time intervals for the aerothermo problem")
         p.set_defaults(func=fn)

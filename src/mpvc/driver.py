@@ -187,7 +187,7 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
         )
         # keep the last inner iterate (not the best-certificate one): a
         # failed solve usually still made progress worth warm-starting
-        x = sol.x_last if sol.x_last is not None else sol.x
+        x = sol.x_last
         f_val, _ = problem.f(x)
         trace.records.append(
             TraceRecord(
@@ -198,7 +198,7 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
                 max_vio=max_vio(problem, x),
                 full_vio=full_violation(problem, x),
                 inner_status=sol.status,
-                inner_iterations=sol.total_iterations or sol.iterations,
+                inner_iterations=sol.total_iterations,
                 eps_achieved=sol.epsilon_achieved,
             )
         )

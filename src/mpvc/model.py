@@ -209,8 +209,3 @@ def full_violation(problem: MpvcProblem, x: np.ndarray) -> float:
         worst = max(worst, float(np.max(-Hv)))
         worst = max(worst, float(np.max(Gv * Hv)))
     return worst
-
-
-def is_feasible(problem: MpvcProblem, x: np.ndarray, tol: float = 0.0) -> bool:
-    """Feasibility for the MPVC up to ``tol`` in full_violation."""
-    return full_violation(problem, x) <= tol

@@ -40,11 +40,13 @@ class SolveStatus(Enum):
     LINESEARCH_FAIL = "LineSearchFail"
 
 
+_LS_MAX = 40                    # backtracking halvings; alpha_min ~ 1e-12
+_DIVERGENCE_BOUND = 1e10        # max |x_i| beyond which the run stops
+
+
 @dataclass
 class SolverLimits:
     max_iter: int = 500
-    ls_max: int = 40            # backtracking halvings; alpha_min ~ 1e-12
-    divergence_bound: float = 1e10
 
 
 @dataclass
@@ -59,9 +61,10 @@ class NlpSolution:
     status: SolveStatus
     iterations: int
     provenance: Optional[RowProvenance] = None
-    # the final iterate of the run; equals x on Converged but may differ on
-    # failures, where x holds the smallest-epsilon certificate while the
-    # last point is the better continuation for a homotopy caller
+    # set by solve_nlp on every exit: the final iterate (equals x on
+    # Converged; on failures x is the smallest-epsilon certificate while
+    # the last point is the better continuation for a homotopy caller) and
+    # the SQP iterations run (``iterations`` is the index of the iterate x)
     x_last: Optional[np.ndarray] = None
     total_iterations: int = 0
 
@@ -181,7 +184,9 @@ def solve_nlp(
     NlpSolution
         On Converged the certificate (x, lam, mu) passes
         ``check_eps_stationary`` at eps_target; on other statuses the best
-        iterate seen (smallest epsilon_achieved) is returned.
+        iterate seen (smallest epsilon_achieved) is returned.  Every status
+        also carries the final iterate ``x_last`` and the iteration count
+        ``total_iterations``.
     """
     if limits is None:
         limits = SolverLimits()
@@ -201,8 +206,7 @@ def solve_nlp(
         raise PreconditionError("non-finite problem data at the initial point")
 
     n = nlp.n
-    B = np.eye(n)
-    scaled = False
+    reset = True                # (re)start the metric at B = I, unscaled
     rho = 1.0
     if lam0 is not None and lam0.shape == (nlp.n_ineq,):
         rho = max(rho, 1.5 * float(np.max(np.abs(lam0))) if lam0.size else 1.0)
@@ -224,6 +228,9 @@ def solve_nlp(
 
     while it < limits.max_iter:
         it += 1
+        if reset:
+            B = np.eye(n)
+            scaled = reset = False
         if not elastic_mode:
             qp = solve_qp(B, grad_f, Jh, -h_vals, Jg, -g_vals, W0=W_warm)
             if qp.status == "infeasible":
@@ -270,17 +277,15 @@ def solve_nlp(
             comp_residual=bd["complementarity"],
             feas_residual=max(bd["feasibility_ineq"], bd["feasibility_eq"]),
             epsilon_achieved=eps_ach,
-            status=SolveStatus.ITER_LIMIT,
+            status=status,
             iterations=it,
             provenance=nlp.provenance,
         )
+        if eps_ach <= eps_target and sane:
+            best, status = current, SolveStatus.CONVERGED
+            break
         if best is None or (sane and eps_ach < best.epsilon_achieved):
             best = current
-        if eps_ach <= eps_target and sane:
-            current.status = SolveStatus.CONVERGED
-            current.x_last = current.x
-            current.total_iterations = it
-            return current
 
         # Max-multiplier penalty rule for the l1 merit function, with the
         # chase bounded: near degenerate loci the QP multipliers diverge
@@ -306,77 +311,65 @@ def solve_nlp(
         viol0 = _l1_violation(g_vals, h_vals)
         viol_lin = _l1_violation(g_vals + Jg @ d, h_vals + Jh @ d)
         descent = float(grad_f @ d) - rho * (viol0 - viol_lin)
-        if descent > -1e-14 * (1.0 + abs(f)):
-            if viol0 - viol_lin > 1e-14 * (1.0 + viol0):
-                rho *= 10.0
-                descent = float(grad_f @ d) - rho * (viol0 - viol_lin)
-            if descent > -1e-14 * (1.0 + abs(f)):
-                if not just_reset:
-                    B = np.eye(n)
-                    scaled = False
-                    just_reset = True
-                    continue
-                best.status = SolveStatus.LINESEARCH_FAIL
-                best.x_last = x.copy()
-                best.total_iterations = it
-                return best
+        if descent > -1e-14 * (1.0 + abs(f)) and viol0 - viol_lin > 1e-14 * (1.0 + viol0):
+            rho *= 10.0
+            descent = float(grad_f @ d) - rho * (viol0 - viol_lin)
 
-        phi0 = f + rho * viol0
-        alpha = 1.0
         accepted = False
-        soc_tried = False
-        step_vec = d
-        for _ in range(limits.ls_max):
-            x_t = x + alpha * step_vec
-            f_t, grad_t = nlp.objective(x_t)
-            g_t, Jg_t = nlp.ineq(x_t)
-            h_t, Jh_t = nlp.eq(x_t)
-            ok = (
-                np.isfinite(f_t)
-                and np.all(np.isfinite(g_t))
-                and np.all(np.isfinite(h_t))
-            )
-            if ok and f_t + rho * _l1_violation(g_t, h_t) <= phi0 + 1e-4 * alpha * descent:
-                accepted = True
-                break
-            if alpha == 1.0 and not soc_tried:
-                # Second-order correction: the full step often satisfies
-                # the linearized constraints exactly yet re-violates the
-                # nonlinear ones quadratically (Maratos effect); a
-                # minimum-norm restoration step on the rows active in the
-                # QP removes that quadratic term.
-                soc_tried = True
-                rows = [Jh] if nlp.n_eq else []
-                rhs = [-h_t] if nlp.n_eq else []
-                act = [i for i in W_warm if i < nlp.n_ineq]
-                if act and ok:
-                    rows.append(Jg[act])
-                    rhs.append(-g_t[act])
-                if rows and ok:
-                    C = np.vstack(rows)
-                    r = np.concatenate(rhs)
-                    p = np.linalg.lstsq(C, r, rcond=None)[0]
-                    if float(np.max(np.abs(p))) <= float(np.max(np.abs(d))):
-                        step_vec = d + p
-                        continue
-            alpha *= 0.5
+        if descent <= -1e-14 * (1.0 + abs(f)):
+            phi0 = f + rho * viol0
+            alpha = 1.0
+            soc_tried = False
             step_vec = d
-        if _DEBUG:
-            print(
-                f"    [sqp it={it}] |d|={float(np.max(np.abs(d))):.2e} eps={eps_ach:.2e} "
-                f"f={f:.4g} viol={viol0:.2e} vlin={viol_lin:.2e} desc={descent:.2e} "
-                f"rho={rho:.1e} acc={accepted} alpha={alpha:.1e} qp={qp.status}/{qp.iterations}"
-            )
+            for _ in range(_LS_MAX):
+                x_t = x + alpha * step_vec
+                f_t, grad_t = nlp.objective(x_t)
+                g_t, Jg_t = nlp.ineq(x_t)
+                h_t, Jh_t = nlp.eq(x_t)
+                ok = (
+                    np.isfinite(f_t)
+                    and np.all(np.isfinite(g_t))
+                    and np.all(np.isfinite(h_t))
+                )
+                if ok and f_t + rho * _l1_violation(g_t, h_t) <= phi0 + 1e-4 * alpha * descent:
+                    accepted = True
+                    break
+                if alpha == 1.0 and not soc_tried:
+                    # Second-order correction: the full step often satisfies
+                    # the linearized constraints exactly yet re-violates the
+                    # nonlinear ones quadratically (Maratos effect); a
+                    # minimum-norm restoration step on the rows active in the
+                    # QP removes that quadratic term.
+                    soc_tried = True
+                    rows = [Jh] if nlp.n_eq else []
+                    rhs = [-h_t] if nlp.n_eq else []
+                    act = [i for i in W_warm if i < nlp.n_ineq]
+                    if act and ok:
+                        rows.append(Jg[act])
+                        rhs.append(-g_t[act])
+                    if rows and ok:
+                        C = np.vstack(rows)
+                        r = np.concatenate(rhs)
+                        p = np.linalg.lstsq(C, r, rcond=None)[0]
+                        if float(np.max(np.abs(p))) <= float(np.max(np.abs(d))):
+                            step_vec = d + p
+                            continue
+                alpha *= 0.5
+                step_vec = d
+            if _DEBUG:
+                print(
+                    f"    [sqp it={it}] |d|={float(np.max(np.abs(d))):.2e} eps={eps_ach:.2e} "
+                    f"f={f:.4g} viol={viol0:.2e} vlin={viol_lin:.2e} desc={descent:.2e} "
+                    f"rho={rho:.1e} acc={accepted} alpha={alpha:.1e} qp={qp.status}/{qp.iterations}"
+                )
+        # No descent direction or no acceptable step: retry once from a
+        # fresh metric before giving up.
         if not accepted:
-            if not just_reset:
-                B = np.eye(n)
-                scaled = False
-                just_reset = True
-                continue
-            best.status = SolveStatus.LINESEARCH_FAIL
-            best.x_last = x.copy()
-            best.total_iterations = it
-            return best
+            if just_reset:
+                status = SolveStatus.LINESEARCH_FAIL
+                break
+            reset = just_reset = True
+            continue
         just_reset = False
 
         # Bail out when neither feasibility nor the objective moves for
@@ -404,64 +397,54 @@ def solve_nlp(
             and viol_new > 0.9 * viol_hist[-31]
         )
         prev_viol, prev_f = viol_new, f_t
-        if stall_count >= 12 or windowed_stall:
-            best.status = SolveStatus.LINESEARCH_FAIL
-            best.x_last = x_t.copy()
-            best.total_iterations = it
-            return best
 
         # Damped BFGS on the Lagrangian; reset on lost curvature or
         # runaway entries.  Heavily truncated steps are skipped: with the
         # move limit above they are rare, and their multipliers carry no
         # usable curvature (one such pair can poison the metric).
-        s = alpha * step_vec
-        y = (grad_t - grad_f).copy()
-        if lam.size:
-            y += (Jg_t - Jg).T @ lam
-        if mu.size:
-            y += (Jh_t - Jh).T @ mu
-        if alpha < 0.2:
-            x, f, grad_f = x_t, f_t, grad_t
-            g_vals, Jg = g_t, Jg_t
-            h_vals, Jh = h_t, Jh_t
-            if np.max(np.abs(x)) > limits.divergence_bound:
-                break
-            continue
-        sBs = float(s @ (B @ s))
-        sy = float(s @ y)
-        if not scaled and sy > 1e-12:
-            # size the initial metric from the curvature along s; the
-            # yTy/sTy variant can blow up by the condition of the pair
-            gamma = min(max(sy / float(s @ s), 1e-4), 1e4)
-            if np.isfinite(gamma):
-                B = gamma * np.eye(n)
-                sBs = float(s @ (B @ s))
-                scaled = True
-        if sy < 0.2 * sBs:
-            if sBs - sy > 1e-16:
-                theta_d = 0.8 * sBs / (sBs - sy)
-                y = theta_d * y + (1.0 - theta_d) * (B @ s)
-                sy = float(s @ y)
-        ns = float(np.linalg.norm(s))
-        ny = float(np.linalg.norm(y))
-        if sy > 1e-8 * max(1e-12, ns * ny) and sBs > 0:
-            Bs = B @ s
-            B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
-            B = 0.5 * (B + B.T)
-        if not np.all(np.isfinite(B)) or float(np.max(np.abs(B))) > 1e10:
-            B = np.eye(n)
-            scaled = False
-        else:
-            try:
-                np.linalg.cholesky(B + 1e-12 * np.eye(n))
-            except np.linalg.LinAlgError:
-                B = np.eye(n)
-                scaled = False
+        if alpha >= 0.2:
+            s = alpha * step_vec
+            y = (grad_t - grad_f).copy()
+            if lam.size:
+                y += (Jg_t - Jg).T @ lam
+            if mu.size:
+                y += (Jh_t - Jh).T @ mu
+            sBs = float(s @ (B @ s))
+            sy = float(s @ y)
+            if not scaled and sy > 1e-12:
+                # size the initial metric from the curvature along s; the
+                # yTy/sTy variant can blow up by the condition of the pair
+                gamma = min(max(sy / float(s @ s), 1e-4), 1e4)
+                if np.isfinite(gamma):
+                    B = gamma * np.eye(n)
+                    sBs = float(s @ (B @ s))
+                    scaled = True
+            if sy < 0.2 * sBs:
+                if sBs - sy > 1e-16:
+                    theta_d = 0.8 * sBs / (sBs - sy)
+                    y = theta_d * y + (1.0 - theta_d) * (B @ s)
+                    sy = float(s @ y)
+            ns = float(np.linalg.norm(s))
+            ny = float(np.linalg.norm(y))
+            if sy > 1e-8 * max(1e-12, ns * ny) and sBs > 0:
+                Bs = B @ s
+                B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
+                B = 0.5 * (B + B.T)
+            if not np.all(np.isfinite(B)) or float(np.max(np.abs(B))) > 1e10:
+                reset = True
+            else:
+                try:
+                    np.linalg.cholesky(B + 1e-12 * np.eye(n))
+                except np.linalg.LinAlgError:
+                    reset = True
 
         x, f, grad_f = x_t, f_t, grad_t
         g_vals, Jg = g_t, Jg_t
         h_vals, Jh = h_t, Jh_t
-        if np.max(np.abs(x)) > limits.divergence_bound:
+        if stall_count >= 12 or windowed_stall:
+            status = SolveStatus.LINESEARCH_FAIL
+            break
+        if np.max(np.abs(x)) > _DIVERGENCE_BOUND:
             break
 
     best.status = status

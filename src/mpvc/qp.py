@@ -92,8 +92,6 @@ def solve_qp(
     b_in: np.ndarray,
     x0: Optional[np.ndarray] = None,
     W0: Optional[list] = None,
-    max_iter: Optional[int] = None,
-    tol: float = 1e-10,
 ) -> QpResult:
     """Primal active-set method; see module docstring.
 
@@ -105,8 +103,7 @@ def solve_qp(
     n = c.size
     p = b_eq.size
     m = b_in.size
-    if max_iter is None:
-        max_iter = min(5 * (n + m + p) + 30, 600)
+    max_iter = min(5 * (n + m + p) + 30, 600)
 
     scale = 1.0 + (np.max(np.abs(b_in)) if m else 0.0) + (np.max(np.abs(b_eq)) if p else 0.0)
     feas_tol = 1e-9 * scale
@@ -179,7 +176,7 @@ def solve_qp(
         d = np.concatenate([b_eq, b_in[W]]) if (p or W) else np.zeros(0)
         x_new, y = _eqp(B, c, C, d)
         lam_W = y[p:]
-        if np.max(np.abs(x_new - x)) <= tol * (1.0 + np.max(np.abs(x))):
+        if np.max(np.abs(x_new - x)) <= 1e-10 * (1.0 + np.max(np.abs(x))):
             if lam_W.size == 0 or np.min(lam_W) >= -1e-9:
                 lam = np.zeros(m)
                 for j, i in enumerate(W):

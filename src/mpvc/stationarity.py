@@ -16,11 +16,11 @@ The grades tighten only on the biactive set I_00:
     S:  etaH_i >= 0 and etaG_i = 0.
 
 ``recover_mpvc_multipliers`` maps the multipliers (nu, delta) of a solved
-regularized problem back to MPVC multipliers using the scheme-specific
-transformation under which the regularized stationarity equation becomes
-the weak-stationarity equation; ``classify`` grades any multiplier set; and
-``find_multipliers`` fits multipliers directly by sign-constrained linear
-least squares when none are available (e.g. for the direct baseline).
+regularized problem back to MPVC multipliers through the kernel gradient
+coefficients (c_G, c_H), plus an index-set mask for GLOBAL; ``classify``
+grades any multiplier set; and ``find_multipliers`` fits multipliers
+directly by sign-constrained linear least squares when none are available
+(e.g. for the direct baseline).
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .errors import PreconditionError
 from .model import IndexSets, MpvcProblem, full_violation, index_sets
 from .nlp import NlpSolution
 from .qp import solve_qp
-from .regularize import Scheme, phi_su
+from .regularize import KERNELS, Scheme, kernel_rows
 
 
 class Grade(IntEnum):
@@ -93,63 +93,38 @@ def recover_mpvc_multipliers(
 ) -> MpvcMultipliers:
     """Map regularized-NLP multipliers at sol.x back to MPVC multipliers.
 
-    With nu the multipliers of the -H_i <= 0 rows and delta those of the
-    kernel rows, the transformations are:
+    The kernel row of pair i has gradient c_G,i grad G_i + c_H,i grad H_i,
+    with (c_G, c_H) the scheme kernel's own coefficients at sol.x.  With nu
+    the multipliers of the -H_i <= 0 rows and delta those of the kernel
+    rows, every scheme maps
 
-    * GLOBAL     etaG_i = delta_i H_i on I_00 u I_+0 (else 0);
-                 etaH_i = nu_i - delta_i G_i on I_0, nu_i on I_+
-                 (the index sets banded with tau_act at sol.x)
-    * LOCAL      etaG_i = delta_i alpha_i, etaH_i = nu_i - delta_i beta_i
-                 with (alpha, beta) the kernel gradient coefficients
-    * LSHAPED    on G + H >= t: etaG_i = delta_i (H_i - t),
-                 etaH_i = nu_i - delta_i G_i; on G + H < t:
-                 etaG_i = -delta_i G_i, etaH_i = nu_i + delta_i (H_i - t)
-    * NONSMOOTH  etaG_i = delta_i (H_i - t), etaH_i = nu_i - delta_i G_i
+        etaG_i = delta_i c_G,i,    etaH_i = nu_i - delta_i c_H,i,
+
+    under which the regularized stationarity equation is the
+    weak-stationarity equation.  GLOBAL then applies the index-set mask of
+    its convergence theory (index sets banded with tau_act at sol.x):
+    etaG_i = 0 off I_00 u I_+0, and etaH_i = nu_i on I_+.
 
     lam and mu pass through unchanged.
     """
     prov = sol.provenance
     if prov is None:
         raise PreconditionError("solution carries no row provenance")
-    x = sol.x
-    lam_g = sol.lam[prov.rows_g]
     nu = sol.lam[prov.rows_neg_H]
     delta = sol.lam[prov.rows_kernel]
-    Gv, _ = problem.G(x)
-    Hv, _ = problem.H(x)
-    l = problem.l
-    eta_G = np.zeros(l)
-    eta_H = np.zeros(l)
-
+    Gv, _ = problem.G(sol.x)
+    Hv, _ = problem.H(sol.x)
+    _, c_G, c_H = kernel_rows(KERNELS[scheme], Gv, Hv, t)
+    eta_G = delta * c_G
+    eta_H = nu - delta * c_H
     if scheme is Scheme.GLOBAL:
-        ix = index_sets(problem, x, tau_act)
-        for i in range(l):
-            if i in ix.I_00 or i in ix.I_plus0:
-                eta_G[i] = delta[i] * Hv[i]
-            if i in ix.I_0:
-                eta_H[i] = nu[i] - delta[i] * Gv[i]
-            else:
-                eta_H[i] = nu[i]
-    elif scheme is Scheme.LOCAL:
-        for i in range(l):
-            _, alpha, beta = phi_su(Gv[i], Hv[i], t)
-            eta_G[i] = delta[i] * alpha
-            eta_H[i] = nu[i] - delta[i] * beta
-    elif scheme is Scheme.LSHAPED:
-        for i in range(l):
-            if Gv[i] + Hv[i] >= t:
-                eta_G[i] = delta[i] * (Hv[i] - t)
-                eta_H[i] = nu[i] - delta[i] * Gv[i]
-            else:
-                eta_G[i] = -delta[i] * Gv[i]
-                eta_H[i] = nu[i] + delta[i] * (Hv[i] - t)
-    elif scheme is Scheme.NONSMOOTH:
-        eta_G = delta * (Hv - t)
-        eta_H = nu - delta * Gv
-    else:  # pragma: no cover - closed enumeration
-        raise ValueError(f"unknown scheme {scheme}")
-
-    return MpvcMultipliers(lam=lam_g.copy(), mu=sol.mu.copy(), eta_H=eta_H, eta_G=eta_G)
+        ix = index_sets(problem, sol.x, tau_act)
+        eta_G[sorted(ix.I_plusminus | ix.I_0plus | ix.I_0minus)] = 0.0
+        plus = sorted(ix.I_plus)
+        eta_H[plus] = nu[plus]
+    return MpvcMultipliers(
+        lam=sol.lam[prov.rows_g], mu=sol.mu.copy(), eta_H=eta_H, eta_G=eta_G
+    )
 
 
 def _gradient_equation_residual(

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from mpvc.cli import main, run_grid, _grid_points
+from mpvc.nlp import solve_nlp
+from mpvc.problems import academic
+from mpvc.regularize import direct_nlp
 
 
 def run(args):
@@ -43,6 +46,19 @@ def test_solve_direct_baseline_has_grade(tmp_path):
     result = json.loads((tmp_path / "result.json").read_text())
     assert "grade" in result and result["scheme"] == "none"
     assert code in (0, 1)
+
+
+def test_solve_direct_reports_iterations_run(tmp_path):
+    # this start ends LineSearchFail with its best iterate before the last
+    x0 = np.array([13.0, -5.0])
+    sol = solve_nlp(direct_nlp(academic()), x0, eps_target=1e-9)
+    assert sol.iterations < sol.total_iterations
+    run([
+        "solve", "--problem", "academic", "--scheme", "none",
+        "--x0", "13,-5", "--out", str(tmp_path),
+    ])
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["inner_iterations"] == sol.total_iterations
 
 
 def test_unknown_problem_is_usage_error(tmp_path, capsys):
@@ -101,7 +117,6 @@ def test_grid_reproducible(tmp_path):
         run([
             "grid", "--problem", "academic", "--scheme", "lshaped",
             "--grid=-2,8,3,-2,8,3", "--out", str(out), "--jobs", "2",
-            "--seed", "7",
         ])
     assert (a / "grid.csv").read_bytes() == (b / "grid.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()

@@ -99,6 +99,41 @@ def test_determinism():
     assert a.epsilon_achieved == b.epsilon_achieved
 
 
+def rosenbrock(x):
+    a, b = x
+    f = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+    return float(f), np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
+
+
+class TestExits:
+    """Every exit of solve_nlp reports the final iterate and the work done."""
+
+    def test_converged(self):
+        sol = solve_nlp(bound_problem(), np.array([5.0]), eps_target=1e-8)
+        assert sol.status is SolveStatus.CONVERGED
+        assert np.array_equal(sol.x_last, sol.x)
+        assert sol.total_iterations == sol.iterations
+
+    def test_iter_limit(self):
+        nlp = simple_nlp(objective=rosenbrock, n=2)
+        sol = solve_nlp(nlp, np.array([-1.2, 1.0]), limits=SolverLimits(max_iter=3))
+        assert sol.status is SolveStatus.ITER_LIMIT
+        assert sol.total_iterations == 3
+        assert sol.iterations <= 3
+        assert not np.array_equal(sol.x_last, sol.x)
+
+    def test_linesearch_fail(self):
+        # x <= -1 and x >= 1 cannot both hold
+        nlp = simple_nlp(
+            objective=lambda x: (float(x[0] ** 2), np.array([2.0 * x[0]])),
+            ineq=lambda x: (np.array([x[0] + 1.0, 1.0 - x[0]]), np.array([[1.0], [-1.0]])),
+        )
+        sol = solve_nlp(nlp, np.array([3.0]), eps_target=1e-8)
+        assert sol.status is SolveStatus.LINESEARCH_FAIL
+        assert sol.x_last is not None and sol.x_last.shape == (1,)
+        assert sol.iterations < sol.total_iterations < SolverLimits().max_iter
+
+
 def test_non_finite_start_rejected():
     nlp = simple_nlp(
         objective=lambda x: (float(np.log(x[0])), np.array([1.0 / x[0]])),

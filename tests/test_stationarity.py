@@ -6,11 +6,13 @@ import pytest
 from mpvc.errors import PreconditionError
 from mpvc.model import empty_vector_fn, MpvcProblem
 from mpvc.nlp import NlpSolution, SolveStatus, solve_nlp
-from mpvc.problems import academic, counterexamples
+from mpvc.model import index_sets
+from mpvc.problems import academic, counterexamples, ten_bar
 from mpvc.regularize import Scheme, regularize
 from mpvc.stationarity import (
     Grade,
     MpvcMultipliers,
+    _gradient_equation_residual,
     classify,
     find_multipliers,
     recover_mpvc_multipliers,
@@ -58,6 +60,62 @@ class TestRecovery:
         sol = make_solution(nlp, [1.0, 9.0], np.zeros(nlp.n_ineq))
         mult = recover_mpvc_multipliers(prob, scheme, 0.3, sol)
         assert np.all(mult.eta_G == 0.0) and np.all(mult.eta_H == 0.0)
+
+    @staticmethod
+    def random_solutions(seed):
+        """Random points, parameters and NLP multipliers (lam >= 0) on
+        academic and ten-bar, with some pairs placed on H = 0 and G = 0."""
+        rng = np.random.default_rng(seed)
+        for prob in (academic(), ten_bar()):
+            x_ref = prob.known_points.get("x0", np.array([1.0, 4.0]))
+            for _ in range(40):
+                x = x_ref + 0.5 * rng.normal(size=prob.n)
+                if rng.random() < 0.5:
+                    x[rng.integers(prob.l)] = 0.0          # H_i = x_i on both
+                if prob.name == "academic" and rng.random() < 0.5:
+                    x[1] = 5.0 - x[0]                      # G_2 = 0
+                t = float(10.0 ** rng.uniform(-2.0, 0.5))
+                lam = rng.exponential(size=prob.m + 2 * prob.l)
+                yield prob, x, t, lam, rng.normal(size=prob.p)
+
+    @pytest.mark.parametrize("scheme", [Scheme.LOCAL, Scheme.LSHAPED, Scheme.NONSMOOTH])
+    def test_recovered_residual_is_nlp_lagrangian_gradient(self, scheme):
+        # with eta_G = delta c_G and eta_H = nu - delta c_H the MPVC
+        # gradient equation is the regularized NLP's Lagrangian gradient
+        for prob, x, t, lam, mu in self.random_solutions(11):
+            nlp = regularize(prob, scheme, t)
+            mult = recover_mpvc_multipliers(prob, scheme, t, make_solution(nlp, x, lam, mu))
+            _, grad_f = nlp.objective(x)
+            _, J_in = nlp.ineq(x)
+            _, J_eq = nlp.eq(x)
+            grad_L = grad_f + J_in.T @ lam + J_eq.T @ mu
+            terms = np.abs(grad_f) + np.abs(J_in.T) @ lam + np.abs(J_eq.T) @ np.abs(mu)
+            scale = 1.0 + np.max(terms)
+            resid = _gradient_equation_residual(prob, x, mult)
+            assert np.max(np.abs(resid - grad_L)) <= 1e-12 * scale, (prob.name, x, t)
+            np.testing.assert_array_equal(mult.lam, lam[nlp.provenance.rows_g])
+            np.testing.assert_array_equal(mult.mu, mu)
+
+    def test_global_recovery_masks(self):
+        saw_plus0 = saw_zero = False
+        for prob, x, t, lam, mu in self.random_solutions(12):
+            nlp = regularize(prob, Scheme.GLOBAL, t)
+            tau_act = 1e-8
+            mult = recover_mpvc_multipliers(
+                prob, Scheme.GLOBAL, t, make_solution(nlp, x, lam, mu), tau_act
+            )
+            ix = index_sets(prob, x, tau_act)
+            G, _ = prob.G(x)
+            H, _ = prob.H(x)
+            nu = lam[nlp.provenance.rows_neg_H]
+            delta = lam[nlp.provenance.rows_kernel]
+            for i in range(prob.l):
+                on_g = i in ix.I_00 or i in ix.I_plus0
+                assert mult.eta_G[i] == (delta[i] * H[i] if on_g else 0.0)
+                assert mult.eta_H[i] == (nu[i] if i in ix.I_plus else nu[i] - delta[i] * G[i])
+            saw_plus0 |= bool(ix.I_plus0)
+            saw_zero |= bool(ix.I_0)
+        assert saw_plus0 and saw_zero
 
     def test_provenance_required(self):
         prob = academic()
