@@ -95,11 +95,11 @@ def stationarity_breakdown(
         r += Jg.T @ lam
     if mu.size:
         r += Jh.T @ mu
-    stat = float(np.max(np.abs(r))) if r.size else 0.0
-    feas_in = float(max(0.0, np.max(g_vals))) if g_vals.size else 0.0
-    feas_eq = float(np.max(np.abs(h_vals))) if h_vals.size else 0.0
-    sign = float(max(0.0, -np.min(lam))) if lam.size else 0.0
-    comp = float(np.max(np.abs(g_vals * lam))) if g_vals.size else 0.0
+    stat = float(abs(r).max()) if r.size else 0.0
+    feas_in = float(max(0.0, g_vals.max())) if g_vals.size else 0.0
+    feas_eq = float(abs(h_vals).max()) if h_vals.size else 0.0
+    sign = float(max(0.0, -lam.min())) if lam.size else 0.0
+    comp = float(abs(g_vals * lam).max()) if g_vals.size else 0.0
     return {
         "stationarity": stat,
         "feasibility_ineq": feas_in,
@@ -152,9 +152,9 @@ def check_eps_stationary(
 def _l1_violation(g_vals: np.ndarray, h_vals: np.ndarray) -> float:
     v = 0.0
     if g_vals.size:
-        v += float(np.sum(np.maximum(g_vals, 0.0)))
+        v += float(np.maximum(g_vals, 0.0).sum())
     if h_vals.size:
-        v += float(np.sum(np.abs(h_vals)))
+        v += float(abs(h_vals).sum())
     return v
 
 
@@ -199,22 +199,24 @@ def solve_nlp(
     h_vals, Jh = nlp.eq(x)
     if not (
         np.isfinite(f)
-        and np.all(np.isfinite(grad_f))
-        and np.all(np.isfinite(g_vals))
-        and np.all(np.isfinite(h_vals))
+        and np.isfinite(grad_f).all()
+        and np.isfinite(g_vals).all()
+        and np.isfinite(h_vals).all()
     ):
         raise PreconditionError("non-finite problem data at the initial point")
 
     n = nlp.n
+    eye = np.eye(n)             # never written to: B is rebound, not updated
+    cholesky_shift = 1e-12 * eye
     reset = True                # (re)start the metric at B = I, unscaled
     rho = 1.0
     if lam0 is not None and lam0.shape == (nlp.n_ineq,):
-        rho = max(rho, 1.5 * float(np.max(np.abs(lam0))) if lam0.size else 1.0)
+        rho = max(rho, 1.5 * float(abs(lam0).max()) if lam0.size else 1.0)
         W_warm: Optional[list] = [int(i) for i in np.flatnonzero(lam0 > 1e-10)]
     else:
         W_warm = None
     if mu0 is not None and mu0.size:
-        rho = max(rho, 1.5 * float(np.max(np.abs(mu0))))
+        rho = max(rho, 1.5 * float(abs(mu0).max()))
 
     best: Optional[NlpSolution] = None
     just_reset = False
@@ -229,7 +231,7 @@ def solve_nlp(
     while it < limits.max_iter:
         it += 1
         if reset:
-            B = np.eye(n)
+            B = eye
             scaled = reset = False
         if not elastic_mode:
             qp = solve_qp(B, grad_f, Jh, -h_vals, Jg, -g_vals, W0=W_warm)
@@ -258,9 +260,9 @@ def solve_nlp(
         eps_ach = epsilon_from_breakdown(bd)
         mult_scale = 0.0
         if lam.size:
-            mult_scale = max(mult_scale, float(np.max(np.abs(lam))))
+            mult_scale = max(mult_scale, float(abs(lam).max()))
         if mu.size:
-            mult_scale = max(mult_scale, float(np.max(np.abs(mu))))
+            mult_scale = max(mult_scale, float(abs(mu).max()))
         # Multipliers beyond this bound make a certificate numerically
         # vacuous: near kernel switch loci the QP can produce multipliers
         # of order 1/eps_machine whose complementarity products are pure
@@ -268,7 +270,8 @@ def solve_nlp(
         # tracked as best; the solver keeps iterating until a meaningful
         # certificate appears or the degenerate branch collapses to its
         # exact limit.
-        sane = mult_scale <= 1e10 * (1.0 + float(np.max(np.abs(grad_f))))
+        grad_max = float(abs(grad_f).max())
+        sane = mult_scale <= 1e10 * (1.0 + grad_max)
         current = NlpSolution(
             x=x.copy(),
             lam=lam.copy(),
@@ -293,7 +296,7 @@ def solve_nlp(
         # descent is still guaranteed by the explicit check below, which
         # raises rho further when the direction calls for it.  The decay
         # branch recovers after drastic overshoot.
-        rho_req = 1.01 * min(mult_scale, 1e6 * (1.0 + float(np.max(np.abs(grad_f))))) + 1e-6
+        rho_req = 1.01 * min(mult_scale, 1e6 * (1.0 + grad_max)) + 1e-6
         if rho < rho_req:
             rho = max(rho_req, 1.5 * rho)
         elif rho > 100.0 * rho_req:
@@ -303,8 +306,8 @@ def solve_nlp(
         # linearization's region of validity by orders of magnitude, which
         # forces tiny line-search steps; scaling d preserves the l1-merit
         # descent property (the linearized violation is convex along d).
-        move_cap = max(1.0, 0.2 * (1.0 + float(np.max(np.abs(x)))))
-        d_norm = float(np.max(np.abs(d))) if d.size else 0.0
+        move_cap = max(1.0, 0.2 * (1.0 + float(abs(x).max())))
+        d_norm = float(abs(d).max()) if d.size else 0.0
         if d_norm > move_cap:
             d = d * (move_cap / d_norm)
 
@@ -328,8 +331,8 @@ def solve_nlp(
                 h_t, Jh_t = nlp.eq(x_t)
                 ok = (
                     np.isfinite(f_t)
-                    and np.all(np.isfinite(g_t))
-                    and np.all(np.isfinite(h_t))
+                    and np.isfinite(g_t).all()
+                    and np.isfinite(h_t).all()
                 )
                 if ok and f_t + rho * _l1_violation(g_t, h_t) <= phi0 + 1e-4 * alpha * descent:
                     accepted = True
@@ -351,14 +354,14 @@ def solve_nlp(
                         C = np.vstack(rows)
                         r = np.concatenate(rhs)
                         p = np.linalg.lstsq(C, r, rcond=None)[0]
-                        if float(np.max(np.abs(p))) <= float(np.max(np.abs(d))):
+                        if float(abs(p).max()) <= float(abs(d).max()):
                             step_vec = d + p
                             continue
                 alpha *= 0.5
                 step_vec = d
             if _DEBUG:
                 print(
-                    f"    [sqp it={it}] |d|={float(np.max(np.abs(d))):.2e} eps={eps_ach:.2e} "
+                    f"    [sqp it={it}] |d|={float(abs(d).max()):.2e} eps={eps_ach:.2e} "
                     f"f={f:.4g} viol={viol0:.2e} vlin={viol_lin:.2e} desc={descent:.2e} "
                     f"rho={rho:.1e} acc={accepted} alpha={alpha:.1e} qp={qp.status}/{qp.iterations}"
                 )
@@ -416,7 +419,7 @@ def solve_nlp(
                 # yTy/sTy variant can blow up by the condition of the pair
                 gamma = min(max(sy / float(s @ s), 1e-4), 1e4)
                 if np.isfinite(gamma):
-                    B = gamma * np.eye(n)
+                    B = gamma * eye
                     sBs = float(s @ (B @ s))
                     scaled = True
             if sy < 0.2 * sBs:
@@ -430,11 +433,11 @@ def solve_nlp(
                 Bs = B @ s
                 B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
                 B = 0.5 * (B + B.T)
-            if not np.all(np.isfinite(B)) or float(np.max(np.abs(B))) > 1e10:
+            if not np.isfinite(B).all() or float(abs(B).max()) > 1e10:
                 reset = True
             else:
                 try:
-                    np.linalg.cholesky(B + 1e-12 * np.eye(n))
+                    np.linalg.cholesky(B + cholesky_shift)
                 except np.linalg.LinAlgError:
                     reset = True
 
@@ -444,7 +447,7 @@ def solve_nlp(
         if stall_count >= 12 or windowed_stall:
             status = SolveStatus.LINESEARCH_FAIL
             break
-        if np.max(np.abs(x)) > _DIVERGENCE_BOUND:
+        if abs(x).max() > _DIVERGENCE_BOUND:
             break
 
     best.status = status

@@ -11,9 +11,10 @@ preference: the equality-constrained solution on the warm working set
 ``W0`` when it is feasible; a given feasible ``x0``; a least-squares solve
 on the equalities; and, when that violates an inequality, the result of a
 slack phase-1 QP, solved with the same active-set core and seeded with the
-rows active at its slack start.  Equality-constrained subproblems are
-solved through the KKT system with an SVD fallback for degenerate working
-sets.
+rows active at its slack start.  From the warm point, that equality-
+constrained solution is also the first iterate of the main loop, so its
+KKT system is solved once.  Equality-constrained subproblems are solved
+through the KKT system with an SVD fallback for degenerate working sets.
 
 The same routine backs the SQP subproblems, the elastic-mode relaxation,
 the multiplier least-squares fit and the positive-linear-independence
@@ -57,17 +58,17 @@ def _eqp(B: np.ndarray, c: np.ndarray, C: np.ndarray, d: np.ndarray):
     try:
         sol = np.linalg.solve(kkt, rhs)
         x, y = sol[:n], sol[n:]
-        if np.all(np.isfinite(sol)):
-            scale = 1.0 + float(np.max(np.abs(d))) if d.size else 1.0
-            scale += float(np.max(np.abs(x))) * float(np.max(np.abs(C))) if C.size else 0.0
-            if np.max(np.abs(C @ x - d)) <= 1e-9 * scale:
+        if np.isfinite(sol).all():
+            scale = 1.0 + float(abs(d).max()) if d.size else 1.0
+            scale += float(abs(x).max()) * float(abs(C).max()) if C.size else 0.0
+            if abs(C @ x - d).max() <= 1e-9 * scale:
                 return x, y
     except np.linalg.LinAlgError:
         pass
     # Degenerate working set: null-space method on the SVD of C.
     U, s, Vt = np.linalg.svd(C, full_matrices=True)
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > max(smax, 1.0) * 1e-13))
+    rank = int((s > max(smax, 1.0) * 1e-13).sum())
     if rank == 0:
         x_p = np.zeros(n)
     else:
@@ -105,14 +106,19 @@ def solve_qp(
     m = b_in.size
     max_iter = min(5 * (n + m + p) + 30, 600)
 
-    scale = 1.0 + (np.max(np.abs(b_in)) if m else 0.0) + (np.max(np.abs(b_eq)) if p else 0.0)
+    scale = 1.0 + (abs(b_in).max() if m else 0.0) + (abs(b_eq).max() if p else 0.0)
     feas_tol = 1e-9 * scale
+    # Subproblem rows are gathered from one stacked copy: the equalities,
+    # then the inequality rows of the working set, in working-set order.
+    A_all = np.vstack([A_eq, A_in])
+    b_all = np.concatenate([b_eq, b_in])
+    eq_rows = list(range(p))
 
     x = None
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-        ok_eq = p == 0 or np.max(np.abs(A_eq @ x0 - b_eq)) <= feas_tol
-        ok_in = m == 0 or np.max(A_in @ x0 - b_in) <= feas_tol
+        ok_eq = p == 0 or abs(A_eq @ x0 - b_eq).max() <= feas_tol
+        ok_in = m == 0 or (A_in @ x0 - b_in).max() <= feas_tol
         if ok_eq and ok_in:
             x = x0.copy()
 
@@ -126,32 +132,31 @@ def solve_qp(
     if W0:
         W_try = [i for i in W0 if 0 <= i < m]
         if p + len(W_try) <= n and len(W_try) == len(set(W_try)):
-            C = np.vstack([A_eq, A_in[W_try]]) if (p or W_try) else np.zeros((0, n))
-            dvec = np.concatenate([b_eq, b_in[W_try]])
+            rows = eq_rows + [p + i for i in W_try]
             try:
-                x_try, _ = _eqp(B, c, C, dvec)
+                x_try, y_warm = _eqp(B, c, A_all[rows], b_all[rows])
             except np.linalg.LinAlgError:
                 x_try = None
             if (
                 x_try is not None
-                and np.all(np.isfinite(x_try))
-                and (m == 0 or np.max(A_in @ x_try - b_in) <= feas_tol)
+                and np.isfinite(x_try).all()
+                and (m == 0 or (A_in @ x_try - b_in).max() <= feas_tol)
             ):
                 x_warm = x_try
     # The warm point stands in for a constructed feasible one only if it
     # also satisfies the equalities: on inconsistent ones the SVD fallback
     # of _eqp returns a least-squares point.
     if x is None and x_warm is not None:
-        if p == 0 or np.max(np.abs(A_eq @ x_warm - b_eq)) <= feas_tol:
+        if p == 0 or abs(A_eq @ x_warm - b_eq).max() <= feas_tol:
             x = x_warm
     if x is None:
         if p > 0:
             x = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
-            if np.max(np.abs(A_eq @ x - b_eq)) > 1e-7 * scale:
+            if abs(A_eq @ x - b_eq).max() > 1e-7 * scale:
                 return QpResult(x, np.zeros(m), np.zeros(p), "infeasible", 0)
         else:
             x = np.zeros(n)
-        if m > 0 and np.max(A_in @ x - b_in) > feas_tol:
+        if m > 0 and (A_in @ x - b_in).max() > feas_tol:
             x = _phase1(A_eq, b_eq, A_in, b_in, x)
             if x is None:
                 return QpResult(np.zeros(n), np.zeros(m), np.zeros(p), "infeasible", 0)
@@ -170,19 +175,24 @@ def solve_qp(
     it = 0
     lam_W = np.zeros(0)
     y = np.zeros(p)
+    # From the warm point the first iterate is the warm EQP solution, on the
+    # same working set (W == W_try here), so it is not solved again.
+    eqp = (x_warm, y_warm) if x_warm is not None else None
     while it < max_iter:
         it += 1
-        C = np.vstack([A_eq] + [A_in[W]]) if (p or W) else np.zeros((0, n))
-        d = np.concatenate([b_eq, b_in[W]]) if (p or W) else np.zeros(0)
-        x_new, y = _eqp(B, c, C, d)
+        if eqp is None:
+            rows = eq_rows + [p + i for i in W]
+            eqp = _eqp(B, c, A_all[rows], b_all[rows])
+        x_new, y = eqp
+        eqp = None
         lam_W = y[p:]
-        if np.max(np.abs(x_new - x)) <= 1e-10 * (1.0 + np.max(np.abs(x))):
-            if lam_W.size == 0 or np.min(lam_W) >= -1e-9:
+        if abs(x_new - x).max() <= 1e-10 * (1.0 + abs(x).max()):
+            if lam_W.size == 0 or lam_W.min() >= -1e-9:
                 lam = np.zeros(m)
                 for j, i in enumerate(W):
                     lam[i] = max(lam_W[j], 0.0)
                 return QpResult(x_new, lam, y[:p], "optimal", it, list(W))
-            W.pop(int(np.argmin(lam_W)))
+            W.pop(int(lam_W.argmin()))
             continue
         delta = x_new - x
         alpha = 1.0
@@ -196,7 +206,7 @@ def solve_qp(
             idx = np.flatnonzero(mask)
             if idx.size:
                 ratios = -r[idx] / s[idx]
-                j = int(np.argmin(ratios))
+                j = int(ratios.argmin())
                 if ratios[j] < alpha - 1e-15:
                     alpha = max(float(ratios[j]), 0.0)
                     blocker = int(idx[j])
@@ -206,7 +216,7 @@ def solve_qp(
             if p + len(W) > n:
                 # Working set saturated; drop the row with the smallest
                 # multiplier estimate to restore room.
-                W.pop(int(np.argmin(lam_W)) if lam_W.size else 0)
+                W.pop(int(lam_W.argmin()) if lam_W.size else 0)
     # Iteration cap: report the last subproblem's multiplier estimates
     # rather than zeros so the caller's stationarity accounting stays sane.
     lam = np.zeros(m)
@@ -225,18 +235,15 @@ def _phase1(A_eq, b_eq, A_in, b_in, x_init):
     m = b_in.size
     viol = A_in @ x_init - b_in
     s_init = np.maximum(viol, 0.0)
-    scale = 1.0 + np.max(np.abs(b_in))
+    scale = 1.0 + abs(b_in).max()
     eps = 1e-6
 
-    B = np.zeros((n + m, n + m))
-    B[:n, :n] = eps * np.eye(n)
-    B[n:, n:] = eps * np.eye(m)
+    B = eps * np.eye(n + m)
     c = np.concatenate([-eps * x_init, np.ones(m)])
     A_eq_x = np.hstack([A_eq, np.zeros((p, m))]) if p else np.zeros((0, n + m))
     # rows: A_in x - s <= b_in  and  -s <= 0
-    A1 = np.hstack([A_in, -np.eye(m)])
-    A2 = np.hstack([np.zeros((m, n)), -np.eye(m)])
-    A = np.vstack([A1, A2])
+    neg_eye = -np.eye(m)
+    A = np.block([[A_in, neg_eye], [np.zeros((m, n)), neg_eye]])
     b = np.concatenate([b_in, np.zeros(m)])
     z0 = np.concatenate([x_init, s_init])
     # Seed the working set with the rows active at z0: the shifted row of a
@@ -250,9 +257,9 @@ def _phase1(A_eq, b_eq, A_in, b_in, x_init):
         return None
     x = res.x[:n]
     s = res.x[n:]
-    if np.max(s) > 1e-7 * scale:
+    if s.max() > 1e-7 * scale:
         return None
-    if m and np.max(A_in @ x - b_in) > 1e-7 * scale:
+    if m and (A_in @ x - b_in).max() > 1e-7 * scale:
         return None
     return x
 

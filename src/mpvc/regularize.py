@@ -194,13 +194,14 @@ def _assemble(
     name: str,
 ) -> Nlp:
     m, l, n = problem.m, problem.l, problem.n
+    n_ineq = m + 2 * l
 
     def ineq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gv, Jg = problem.g(x)
         Hv, JH = problem.H(x)
         Gv, JG = problem.G(x)
-        vals = np.empty(m + 2 * l)
-        jac = np.empty((m + 2 * l, n))
+        vals = np.empty(n_ineq)
+        jac = np.empty((n_ineq, n))
         vals[:m] = gv
         jac[:m] = Jg
         vals[m : m + l] = -Hv
@@ -222,7 +223,7 @@ def _assemble(
         objective=problem.f,
         ineq=ineq,
         eq=problem.h,
-        n_ineq=m + 2 * l,
+        n_ineq=n_ineq,
         n_eq=problem.p,
         provenance=prov,
         name=name,

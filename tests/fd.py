@@ -1,8 +1,6 @@
-"""Central finite differences for gradient verification.
-
-These helpers exist for testing only; every problem in the library supplies
-analytic derivatives.  The step is relative, 1e-6 * (1 + |x_j|) per
-coordinate.
+"""Central finite differences that the tests check analytic derivatives
+against; every problem in the library supplies its own.  The step is
+relative, 1e-6 * (1 + |x_j|) per coordinate.
 """
 from __future__ import annotations
 

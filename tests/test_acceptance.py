@@ -22,9 +22,9 @@ import math
 import numpy as np
 import pytest
 
+from fd import fd_jacobian
 from mpvc.cli import run_grid, run_single, _grid_points
 from mpvc.driver import DriverConfig, StopReason, solve_mpvc
-from mpvc.fd import fd_jacobian
 from mpvc.model import full_violation, max_vio
 from mpvc.nlp import SolverLimits, SolveStatus, check_eps_stationary, solve_nlp
 from mpvc.problems import academic, aerothermo, counterexamples, ten_bar

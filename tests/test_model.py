@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from fd import fd_gradient, fd_jacobian
 from mpvc.errors import DimensionMismatch, ParameterError
-from mpvc.fd import fd_gradient, fd_jacobian
 from mpvc.model import full_violation, index_sets, max_vio
 from mpvc.problems import academic
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from fd import fd_gradient, fd_jacobian
 from mpvc.errors import ParameterError
-from mpvc.fd import fd_gradient, fd_jacobian
 from mpvc.model import full_violation, max_vio
 from mpvc.nlp import check_eps_stationary
 from mpvc.problems import academic, aerothermo, counterexamples, ten_bar

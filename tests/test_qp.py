@@ -137,6 +137,27 @@ def test_feasible_warm_point_skips_phase1(monkeypatch):
     np.testing.assert_allclose(warm.lam, cold.lam, atol=1e-12)
 
 
+def test_optimal_warm_set_solves_one_eqp(monkeypatch):
+    # min 1/2 ||x||^2 - 3 x1 s.t. x1 <= 1, warm set {0}: the warm EQP point
+    # (1, 0) is optimal and is also the first iterate, so one KKT solve
+    calls = []
+    eqp = qp._eqp
+
+    def counting_eqp(*args):
+        calls.append(1)
+        return eqp(*args)
+
+    monkeypatch.setattr(qp, "_eqp", counting_eqp)
+    A = np.array([[1.0, 0.0]])
+    b = np.array([1.0])
+    res = solve_qp(np.eye(2), np.array([-3.0, 0.0]), np.zeros((0, 2)), np.zeros(0), A, b, W0=[0])
+    assert res.status == "optimal"
+    assert res.iterations == 1
+    assert len(calls) == 1
+    np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(res.lam, [2.0], atol=1e-12)
+
+
 def test_inconsistent_equalities_with_warm_set_are_infeasible():
     # x1 = 0 and x1 = 1: the SVD fallback puts the warm EQP point at
     # x1 = 0.5, which satisfies the inequality but neither equality

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from fd import fd_jacobian
 from mpvc.errors import ParameterError
-from mpvc.fd import fd_jacobian
 from mpvc.model import full_violation
 from mpvc.problems import academic
 from mpvc.regularize import (
