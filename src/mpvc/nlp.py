@@ -1,8 +1,5 @@
 """SQP solver for smooth NLPs and the eps-stationarity certificate check.
 
-Setting the environment variable MPVC_SQP_DEBUG=1 prints one line per SQP
-iteration (step norm, merit data, line-search result) for troubleshooting.
-
 A point x with multipliers (lam, mu) is eps-stationary for
 
     min f(x) s.t. g(x) <= 0, h(x) = 0
@@ -20,7 +17,6 @@ Converged result is a certificate that ``check_eps_stationary`` accepts.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -30,9 +26,6 @@ import numpy as np
 from .errors import PreconditionError
 from .qp import solve_qp, solve_qp_elastic
 from .regularize import Nlp, RowProvenance
-
-_DEBUG = bool(os.environ.get("MPVC_SQP_DEBUG"))
-
 
 class SolveStatus(Enum):
     CONVERGED = "Converged"
@@ -359,12 +352,6 @@ def solve_nlp(
                             continue
                 alpha *= 0.5
                 step_vec = d
-            if _DEBUG:
-                print(
-                    f"    [sqp it={it}] |d|={float(abs(d).max()):.2e} eps={eps_ach:.2e} "
-                    f"f={f:.4g} viol={viol0:.2e} vlin={viol_lin:.2e} desc={descent:.2e} "
-                    f"rho={rho:.1e} acc={accepted} alpha={alpha:.1e} qp={qp.status}/{qp.iterations}"
-                )
         # No descent direction or no acceptable step: retry once from a
         # fresh metric before giving up.
         if not accepted:

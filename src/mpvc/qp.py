@@ -5,6 +5,7 @@ Solves
     min  1/2 x^T B x + c^T x
     s.t. A_eq x  = b_eq
          A_in x <= b_in
+         x_j >= 0   for the last ``nb`` variables
 
 with B symmetric positive definite.  The starting point is, in order of
 preference: the equality-constrained solution on the warm working set
@@ -15,6 +16,12 @@ rows active at its slack start.  From the warm point, that equality-
 constrained solution is also the first iterate of the main loop, so its
 KKT system is solved once.  Equality-constrained subproblems are solved
 through the KKT system with an SVD fallback for degenerate working sets.
+
+The bounds are inequality rows ``m .. m+nb-1``, after those of ``A_in``.
+They never enter a KKT system: a bound in the working set fixes its
+variable at 0 and its multiplier is that variable's component of
+``B x + c + C^T y``.  Phase 1 and the elastic mode pass their slacks' bounds
+this way, so their KKT systems are only as large as their general rows.
 
 The same routine backs the SQP subproblems, the elastic-mode relaxation,
 the multiplier least-squares fit and the positive-linear-independence
@@ -76,12 +83,35 @@ def _eqp(B: np.ndarray, c: np.ndarray, C: np.ndarray, d: np.ndarray):
     Z = Vt[rank:].T
     if Z.shape[1] > 0:
         Hr = Z.T @ B @ Z
-        u = np.linalg.solve(Hr, -Z.T @ (c + B @ x_p))
+        try:
+            u = np.linalg.solve(Hr, -Z.T @ (c + B @ x_p))
+        except np.linalg.LinAlgError:    # singular reduced Hessian: min-norm u
+            u = np.linalg.lstsq(Hr, -Z.T @ (c + B @ x_p), rcond=None)[0]
         x = x_p + Z @ u
     else:
         x = x_p
     y = np.linalg.lstsq(C.T, -(c + B @ x), rcond=None)[0]
     return x, y
+
+
+def _eqp_bounded(B, c, A_all, b_all, p, nb, W):
+    """``_eqp`` on the equalities and working set ``W`` of a QP whose ``nb``
+    bounds follow the ``m`` rows of ``A_all`` after the equalities: (x, y), y
+    ordered as the equalities, then ``W``."""
+    n = c.size
+    m = b_all.size - p
+    Wa = np.array(W, dtype=int)
+    isb = Wa >= m
+    fixed = Wa[isb] + (n - nb - m)
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    rows = list(range(p)) + [p + i for i in W if i < m]
+    C = A_all[rows]
+    x = np.zeros(n)
+    x[free], y = _eqp(B[free][:, free], c[free], C[:, free], b_all[rows])
+    lam = np.empty(Wa.size)
+    lam[~isb], lam[isb] = y[p:], (B @ x + c + C.T @ y)[fixed]
+    return x, np.concatenate([y[:p], lam])
 
 
 def solve_qp(
@@ -93,18 +123,21 @@ def solve_qp(
     b_in: np.ndarray,
     x0: Optional[np.ndarray] = None,
     W0: Optional[list] = None,
+    nb: int = 0,
 ) -> QpResult:
     """Primal active-set method; see module docstring.
 
     ``x0`` (if given) must satisfy the equalities and inequalities up to a
     small tolerance; otherwise a feasible point is constructed internally.
     ``W0`` is a warm-start working set; rows not active at the starting
-    point are dropped from it.
+    point are dropped from it.  ``nb`` (set by phase 1 and the elastic mode,
+    which pass a feasible ``x0``) bounds the last ``nb`` variables at 0 from
+    below.
     """
     n = c.size
     p = b_eq.size
     m = b_in.size
-    max_iter = min(5 * (n + m + p) + 30, 600)
+    max_iter = min(5 * (n + m + nb + p) + 30, 600)
 
     scale = 1.0 + (abs(b_in).max() if m else 0.0) + (abs(b_eq).max() if p else 0.0)
     feas_tol = 1e-9 * scale
@@ -113,6 +146,12 @@ def solve_qp(
     A_all = np.vstack([A_eq, A_in])
     b_all = np.concatenate([b_eq, b_in])
     eq_rows = list(range(p))
+    if nb:
+        # The bounds are rows of the feasibility checks, the ratio tests and
+        # phase 1, but not of A_all: _eqp_bounded fixes them instead.
+        A_in = np.vstack([A_in, -np.eye(nb, n, n - nb)])
+        b_in = np.concatenate([b_in, np.zeros(nb)])
+        m += nb
 
     x = None
     if x0 is not None:
@@ -132,9 +171,12 @@ def solve_qp(
     if W0:
         W_try = [i for i in W0 if 0 <= i < m]
         if p + len(W_try) <= n and len(W_try) == len(set(W_try)):
-            rows = eq_rows + [p + i for i in W_try]
             try:
-                x_try, y_warm = _eqp(B, c, A_all[rows], b_all[rows])
+                if nb:
+                    x_try, y_warm = _eqp_bounded(B, c, A_all, b_all, p, nb, W_try)
+                else:
+                    rows = eq_rows + [p + i for i in W_try]
+                    x_try, y_warm = _eqp(B, c, A_all[rows], b_all[rows])
             except np.linalg.LinAlgError:
                 x_try = None
             if (
@@ -181,8 +223,11 @@ def solve_qp(
     while it < max_iter:
         it += 1
         if eqp is None:
-            rows = eq_rows + [p + i for i in W]
-            eqp = _eqp(B, c, A_all[rows], b_all[rows])
+            if nb:
+                eqp = _eqp_bounded(B, c, A_all, b_all, p, nb, W)
+            else:
+                rows = eq_rows + [p + i for i in W]
+                eqp = _eqp(B, c, A_all[rows], b_all[rows])
         x_new, y = eqp
         eqp = None
         lam_W = y[p:]
@@ -241,10 +286,8 @@ def _phase1(A_eq, b_eq, A_in, b_in, x_init):
     B = eps * np.eye(n + m)
     c = np.concatenate([-eps * x_init, np.ones(m)])
     A_eq_x = np.hstack([A_eq, np.zeros((p, m))]) if p else np.zeros((0, n + m))
-    # rows: A_in x - s <= b_in  and  -s <= 0
-    neg_eye = -np.eye(m)
-    A = np.block([[A_in, neg_eye], [np.zeros((m, n)), neg_eye]])
-    b = np.concatenate([b_in, np.zeros(m)])
+    # rows: A_in x - s <= b_in, then the bounds s >= 0 as rows m .. 2m-1
+    A = np.hstack([A_in, -np.eye(m)])
     z0 = np.concatenate([x_init, s_init])
     # Seed the working set with the rows active at z0: the shifted row of a
     # violated inequality, the slack bound of every other one.  From an empty
@@ -252,7 +295,7 @@ def _phase1(A_eq, b_eq, A_in, b_in, x_init):
     # (zero-length) iteration each and lowest index first; they are listed
     # in that order because the order steers later ties and rounding.
     W0 = [j for j in range(m) if s_init[j] > 0] + [m + j for j in range(m) if s_init[j] <= 0]
-    res = solve_qp(B, c, A_eq_x, b_eq, A, b, x0=z0, W0=W0)
+    res = solve_qp(B, c, A_eq_x, b_eq, A, b_in, x0=z0, W0=W0, nb=m)
     if res.status == "infeasible":
         return None
     x = res.x[:n]
@@ -291,21 +334,9 @@ def solve_qp_elastic(
     Bx[n:, n:] = sigma * np.eye(ns)
     cx = np.concatenate([c, penalty * np.ones(ns)])
     # equalities: A_eq d + s_plus - s_minus = b_eq
-    A_eq_x = (
-        np.hstack([A_eq, np.eye(p), -np.eye(p), np.zeros((p, m))])
-        if p
-        else np.zeros((0, n + ns))
-    )
-    # inequalities: A_in d - s_in <= b_in, -s <= 0
-    rows = []
-    rhs = []
-    if m:
-        rows.append(np.hstack([A_in, np.zeros((m, 2 * p)), -np.eye(m)]))
-        rhs.append(b_in)
-    rows.append(np.hstack([np.zeros((ns, n)), -np.eye(ns)]))
-    rhs.append(np.zeros(ns))
-    A_x = np.vstack(rows)
-    b_x = np.concatenate(rhs)
+    A_eq_x = np.hstack([A_eq, np.eye(p), -np.eye(p), np.zeros((p, m))])
+    # inequalities: A_in d - s_in <= b_in, then the bounds s >= 0 (rows m ..)
+    A_x = np.hstack([A_in, np.zeros((m, 2 * p)), -np.eye(m)])
 
     sp = np.maximum(b_eq, 0.0)
     sm = np.maximum(-b_eq, 0.0)
@@ -319,6 +350,6 @@ def solve_qp_elastic(
     W_init = [i for i in (W0 or []) if i < m + ns]
     if not any(i >= m for i in W_init):
         W_init += [m + j for j in range(ns) if s0[j] <= 0.0]
-    res = solve_qp(Bx, cx, A_eq_x, b_eq, A_x, b_x, x0=z0, W0=W_init)
+    res = solve_qp(Bx, cx, A_eq_x, b_eq, A_x, b_in, x0=z0, W0=W_init, nb=ns)
     lam = res.lam[:m] if m else np.zeros(0)
     return QpResult(res.x[:n], lam, res.mu, res.status, res.iterations, res.working_set)

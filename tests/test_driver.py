@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from mpvc import nlp
 from mpvc.driver import DriverConfig, StopReason, solve_mpvc
 from mpvc.errors import ParameterError
 from mpvc.model import max_vio
-from mpvc.problems import academic
+from mpvc.nlp import SolverLimits, SolveStatus
+from mpvc.problems import academic, assemble_stiffness, ten_bar
 from mpvc.regularize import Scheme
 
 
@@ -68,3 +70,33 @@ def test_driver_deterministic():
     r2 = solve_mpvc(prob, cfg, np.array([-3.0, 14.0]))
     assert np.array_equal(r1.x, r2.x)
     assert r1.trace.total_inner_iterations == r2.trace.total_inner_iterations
+
+
+def test_ten_bar_lshaped_elastic_qps_finish(monkeypatch):
+    # A ten-bar start (areas drawn in [0.5, 2], displacements K(a)^-1 f) on
+    # which LSHAPED entered elastic mode and its elastic QPs hit their
+    # iteration cap while their slack bounds were KKT rows: with 500 SQP
+    # iterations the solve took about 40 s, with 80 an inner solve ended
+    # IterLimit.
+    prob = ten_bar()
+    geo = prob.meta["geometry"]
+    a = np.array([1.9517671268326802, 0.795152721510259, 1.7477422543582701,
+                  1.1574740490816837, 1.6648815120774199, 1.4831495857484427,
+                  0.7328328094840528, 1.3466532414047663, 0.5334930711183679,
+                  0.870229215508942])
+    x0 = np.concatenate([a, np.linalg.solve(assemble_stiffness(geo, a), geo.load)])
+    capped = []
+    elastic = nlp.solve_qp_elastic
+
+    def counting_elastic(*args, **kwargs):
+        res = elastic(*args, **kwargs)
+        capped.append(res.status == "max_iter")
+        return res
+
+    monkeypatch.setattr(nlp, "solve_qp_elastic", counting_elastic)
+    config = DriverConfig(scheme=Scheme.LSHAPED, limits=SolverLimits(max_iter=80))
+    res = solve_mpvc(prob, config, x0)
+    assert sum(capped) == 0
+    assert all(r.inner_status is not SolveStatus.ITER_LIMIT for r in res.trace.records)
+    assert res.trace.reason is StopReason.FEASIBILITY
+    assert res.f == pytest.approx(8.0, abs=1e-2)

@@ -192,3 +192,44 @@ def test_elastic_matches_exact_when_feasible():
     )
     np.testing.assert_allclose(exact.x, elastic.x, atol=1e-6)
     np.testing.assert_allclose(exact.lam, elastic.lam, atol=1e-5)
+
+
+def test_eqp_with_singular_reduced_hessian():
+    # the duplicated row makes the KKT matrix singular, and B vanishes on the
+    # null space of C, so the null-space step is the minimum-norm one
+    C = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    d = np.array([1.0, 1.0])
+    x, _ = qp._eqp(np.diag([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), C, d)
+    assert np.isfinite(x).all()
+    np.testing.assert_allclose(C @ x, d, atol=1e-12)
+
+
+def test_bounds_leave_the_kkt_system(monkeypatch):
+    # elastic mode on x <= -1, x >= 1, x <= 5: the QP has x and three slacks;
+    # slack bounds in the working set shrink the KKT system, not extend it
+    systems = []
+    eqp = qp._eqp
+
+    def recording_eqp(B, c, C, d):
+        systems.append((B.shape[0], C))
+        return eqp(B, c, C, d)
+
+    monkeypatch.setattr(qp, "_eqp", recording_eqp)
+    A = np.array([[1.0], [-1.0], [1.0]])
+    b = np.array([-1.0, -1.0, 5.0])
+    res = solve_qp_elastic(np.eye(1), np.zeros(1), np.zeros((0, 1)), np.zeros(0), A, b, penalty=10.0)
+    assert res.status == "optimal"
+    # x is never fixed, and every row left in the system is a general one
+    assert min(nvar for nvar, _ in systems) < 4
+    assert all((C[:, 0] != 0).all() for _, C in systems)
+
+
+def test_bounds_without_a_feasible_start():
+    # min (x1 + 0.8)^2 + (x2 + 0.2)^2 s.t. x1 + x2 = -1, x2 >= 0: the
+    # least-squares start (-0.5, -0.5) violates the bound, and no step blocks
+    # on the way to the equality-constrained minimizer (-0.8, -0.2)
+    res = solve_qp(2.0 * np.eye(2), np.array([1.6, 0.4]), np.array([[1.0, 1.0]]),
+                   np.array([-1.0]), np.zeros((0, 2)), np.zeros(0), nb=1)
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [-1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(res.lam, [0.8], atol=1e-12)

@@ -1,6 +1,7 @@
 """Property tests of the active-set QP: the starting point and the starting
 working set choose only the path, never the optimum of a strictly convex
-QP, and phase 1 finds a feasible point exactly when one exists."""
+QP, phase 1 finds a feasible point exactly when one exists, and bounds
+passed as bounds give the optimum of the same bounds passed as rows."""
 import numpy as np
 import pytest
 
@@ -80,3 +81,33 @@ def test_phase1_finds_a_feasible_point_iff_one_exists(dims, consistent):
     assert np.max(A_in @ x - b_in) <= tol
     if p:
         assert np.max(np.abs(A_eq @ x - b_eq)) <= tol
+
+
+@SETTINGS
+@given(sizes, st.integers(1, 6), st.booleans())
+def test_bounds_as_bounds_match_bounds_as_rows(dims, k, warm):
+    n, p, m, seed = dims
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    # a feasible start with some of the bounded variables at their bound,
+    # no more than a vertex holds: degenerate starts may cycle either way
+    x_f = rng.normal(size=n)
+    x_f[n - k:] = abs(x_f[n - k:])
+    x_f[n - k + rng.permutation(k)[:rng.integers(0, min(k, n - p) + 1)]] = 0.0
+    A_eq = rng.normal(size=(p, n))
+    A_in = rng.normal(size=(m, n))
+    b_eq, b_in = A_eq @ x_f, A_in @ x_f + rng.uniform(0.0, 2.0, size=m)
+    B, c = convex_objective(rng, n)
+    W0 = [i for i in range(m + k) if rng.random() < 0.5] if warm else None
+    bounded = solve_qp(B, c, A_eq, b_eq, A_in, b_in, x0=x_f, W0=W0, nb=k)
+    rows = np.hstack([np.zeros((k, n - k)), -np.eye(k)])
+    qp = (B, c, A_eq, b_eq, np.vstack([A_in, rows]), np.concatenate([b_in, np.zeros(k)]))
+    explicit = solve_qp(*qp, x0=x_f, W0=W0)
+    # without a feasible start the bounds are solved as rows
+    no_start = solve_qp(B, c, A_eq, b_eq, A_in, b_in, W0=W0, nb=k)
+    assert bounded.status == explicit.status == no_start.status
+    if explicit.status == "optimal":
+        assert kkt_ok(*qp, explicit)
+        assert kkt_ok(*qp, bounded)
+        np.testing.assert_allclose(bounded.x, explicit.x, atol=1e-8)
+        np.testing.assert_allclose(no_start.x, explicit.x, atol=1e-8)
