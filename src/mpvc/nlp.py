@@ -61,17 +61,6 @@ class NlpSolution:
     x_last: Optional[np.ndarray] = None
     total_iterations: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x.tolist(),
-            "kkt_residual": self.kkt_residual,
-            "comp_residual": self.comp_residual,
-            "feas_residual": self.feas_residual,
-            "epsilon_achieved": self.epsilon_achieved,
-            "status": self.status.value,
-            "iterations": self.iterations,
-        }
-
 
 def stationarity_breakdown(
     grad_f: np.ndarray,

@@ -7,21 +7,23 @@ Solves
          A_in x <= b_in
          x_j >= 0   for the last ``nb`` variables
 
-with B symmetric positive definite.  The starting point is, in order of
-preference: the equality-constrained solution on the warm working set
-``W0`` when it is feasible; a given feasible ``x0``; a least-squares solve
-on the equalities; and, when that violates an inequality, the result of a
-slack phase-1 QP, solved with the same active-set core and seeded with the
-rows active at its slack start.  From the warm point, that equality-
-constrained solution is also the first iterate of the main loop, so its
-KKT system is solved once.  Equality-constrained subproblems are solved
-through the KKT system with an SVD fallback for degenerate working sets.
+with B symmetric positive definite.  The method starts at the first point
+that satisfies every constraint, tried in this order: the equality-
+constrained solution on the warm working set ``W0`` (which is then also the
+first iterate, so its KKT system is solved once), a given ``x0``, a
+least-squares solve on the equalities, and the result of a phase-1 QP.  A
+point satisfies the equalities to ``1e-7 * scale``, the tolerance at which
+the least-squares point counts as consistent, and the inequalities to
+``1e-9 * scale``, with ``scale = 1 + max|b_in| + max|b_eq|``.
+Equality-constrained subproblems are solved through the KKT system with an
+SVD fallback for degenerate working sets.
 
 The bounds are inequality rows ``m .. m+nb-1``, after those of ``A_in``.
 They never enter a KKT system: a bound in the working set fixes its
 variable at 0 and its multiplier is that variable's component of
-``B x + c + C^T y``.  Phase 1 and the elastic mode pass their slacks' bounds
-this way, so their KKT systems are only as large as their general rows.
+``B x + c + C^T y``.  Phase 1 and the elastic mode are one slack relaxation
+(``_relax``) with different weights; it passes its slacks' bounds this way,
+so its KKT systems are only as large as its general rows.
 
 The same routine backs the SQP subproblems, the elastic-mode relaxation,
 the multiplier least-squares fit and the positive-linear-independence
@@ -94,10 +96,16 @@ def _eqp(B: np.ndarray, c: np.ndarray, C: np.ndarray, d: np.ndarray):
     return x, y
 
 
-def _eqp_bounded(B, c, A_all, b_all, p, nb, W):
-    """``_eqp`` on the equalities and working set ``W`` of a QP whose ``nb``
-    bounds follow the ``m`` rows of ``A_all`` after the equalities: (x, y), y
-    ordered as the equalities, then ``W``."""
+def _eqp_w(B, c, A_all, b_all, eq_rows, W, nb):
+    """``_eqp`` on the equalities ``eq_rows`` of ``A_all`` and the working set
+    ``W``: (x, y), y ordered as the equalities, then ``W``.  A bound in ``W``
+    (row ``m + j`` of a QP with ``m`` general inequalities) fixes its
+    variable at 0 instead of entering the KKT system; its multiplier is that
+    variable's component of ``B x + c + C^T y``."""
+    p = len(eq_rows)
+    if not nb:
+        rows = eq_rows + [p + i for i in W]
+        return _eqp(B, c, A_all[rows], b_all[rows])
     n = c.size
     m = b_all.size - p
     Wa = np.array(W, dtype=int)
@@ -105,7 +113,7 @@ def _eqp_bounded(B, c, A_all, b_all, p, nb, W):
     fixed = Wa[isb] + (n - nb - m)
     free = np.ones(n, dtype=bool)
     free[fixed] = False
-    rows = list(range(p)) + [p + i for i in W if i < m]
+    rows = eq_rows + [p + i for i in W if i < m]
     C = A_all[rows]
     x = np.zeros(n)
     x[free], y = _eqp(B[free][:, free], c[free], C[:, free], b_all[rows])
@@ -127,12 +135,9 @@ def solve_qp(
 ) -> QpResult:
     """Primal active-set method; see module docstring.
 
-    ``x0`` (if given) must satisfy the equalities and inequalities up to a
-    small tolerance; otherwise a feasible point is constructed internally.
-    ``W0`` is a warm-start working set; rows not active at the starting
-    point are dropped from it.  ``nb`` (set by phase 1 and the elastic mode,
-    which pass a feasible ``x0``) bounds the last ``nb`` variables at 0 from
-    below.
+    From any start but the warm point, the rows of ``W0`` active there form
+    the first working set.  ``nb`` (set only by ``_relax``, which passes a
+    feasible ``x0``) bounds the last ``nb`` variables at 0 from below.
     """
     n = c.size
     p = b_eq.size
@@ -141,6 +146,7 @@ def solve_qp(
 
     scale = 1.0 + (abs(b_in).max() if m else 0.0) + (abs(b_eq).max() if p else 0.0)
     feas_tol = 1e-9 * scale
+    eq_tol = 1e-7 * scale
     # Subproblem rows are gathered from one stacked copy: the equalities,
     # then the inequality rows of the working set, in working-set order.
     A_all = np.vstack([A_eq, A_in])
@@ -148,66 +154,48 @@ def solve_qp(
     eq_rows = list(range(p))
     if nb:
         # The bounds are rows of the feasibility checks, the ratio tests and
-        # phase 1, but not of A_all: _eqp_bounded fixes them instead.
+        # phase 1, but not of A_all: _eqp_w fixes them instead.
         A_in = np.vstack([A_in, -np.eye(nb, n, n - nb)])
         b_in = np.concatenate([b_in, np.zeros(nb)])
         m += nb
 
-    x = None
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        ok_eq = p == 0 or abs(A_eq @ x0 - b_eq).max() <= feas_tol
-        ok_in = m == 0 or (A_in @ x0 - b_in).max() <= feas_tol
-        if ok_eq and ok_in:
-            x = x0.copy()
-
-    # Warm start: jump to the equality-constrained solution on the warm
-    # working set when that point is feasible -- the rows of a useful warm
-    # set are active at the solution, not at a phase-1 point, so filtering
-    # them against the current activity would discard them and force the
-    # active set to be rebuilt one row per iteration.  It is tried first
-    # because a feasible warm point makes phase 1 unnecessary.
-    x_warm = None
+    # Warm start: the rows of a useful warm set are active at the solution,
+    # not at a constructed start, so the equality-constrained point on the
+    # whole set is tried first; when it is feasible it makes phase 1
+    # unnecessary and its EQP solve is the first iterate's.
+    x = W = eqp = None
     if W0:
         W_try = [i for i in W0 if 0 <= i < m]
         if p + len(W_try) <= n and len(W_try) == len(set(W_try)):
             try:
-                if nb:
-                    x_try, y_warm = _eqp_bounded(B, c, A_all, b_all, p, nb, W_try)
-                else:
-                    rows = eq_rows + [p + i for i in W_try]
-                    x_try, y_warm = _eqp(B, c, A_all[rows], b_all[rows])
+                eqp = _eqp_w(B, c, A_all, b_all, eq_rows, W_try, nb)
             except np.linalg.LinAlgError:
-                x_try = None
+                pass
             if (
-                x_try is not None
-                and np.isfinite(x_try).all()
-                and (m == 0 or (A_in @ x_try - b_in).max() <= feas_tol)
+                eqp is not None
+                and np.isfinite(eqp[0]).all()
+                and (m == 0 or (A_in @ eqp[0] - b_in).max() <= feas_tol)
+                # on inconsistent equalities the SVD fallback of _eqp
+                # returns a least-squares point
+                and (p == 0 or abs(A_eq @ eqp[0] - b_eq).max() <= eq_tol)
             ):
-                x_warm = x_try
-    # The warm point stands in for a constructed feasible one only if it
-    # also satisfies the equalities: on inconsistent ones the SVD fallback
-    # of _eqp returns a least-squares point.
-    if x is None and x_warm is not None:
-        if p == 0 or abs(A_eq @ x_warm - b_eq).max() <= feas_tol:
-            x = x_warm
+                x, W = eqp[0], W_try
+            else:
+                eqp = None
+    if x is None and x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        ok_eq = p == 0 or abs(A_eq @ x0 - b_eq).max() <= eq_tol
+        if ok_eq and (m == 0 or (A_in @ x0 - b_in).max() <= feas_tol):
+            x = x0.copy()
     if x is None:
-        if p > 0:
-            x = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
-            if abs(A_eq @ x - b_eq).max() > 1e-7 * scale:
-                return QpResult(x, np.zeros(m), np.zeros(p), "infeasible", 0)
-        else:
-            x = np.zeros(n)
-        if m > 0 and (A_in @ x - b_in).max() > feas_tol:
+        x = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0] if p else np.zeros(n)
+        if p and abs(A_eq @ x - b_eq).max() > eq_tol:
+            return QpResult(x, np.zeros(m), np.zeros(p), "infeasible", 0)
+        if m and (A_in @ x - b_in).max() > feas_tol:
             x = _phase1(A_eq, b_eq, A_in, b_in, x)
             if x is None:
                 return QpResult(np.zeros(n), np.zeros(m), np.zeros(p), "infeasible", 0)
-
-    W: list = []
-    if x_warm is not None:
-        x = x_warm
-        W = list(W_try)
-    if not W:
+    if W is None:
         resid = A_in @ x - b_in if m else np.zeros(0)
         active = set(np.flatnonzero(resid >= -10 * feas_tol).tolist())
         W = [i for i in W0 if i in active] if W0 else []
@@ -215,28 +203,16 @@ def solve_qp(
             W.pop()
 
     it = 0
-    lam_W = np.zeros(0)
-    y = np.zeros(p)
-    # From the warm point the first iterate is the warm EQP solution, on the
-    # same working set (W == W_try here), so it is not solved again.
-    eqp = (x_warm, y_warm) if x_warm is not None else None
+    status = "max_iter"
     while it < max_iter:
         it += 1
-        if eqp is None:
-            if nb:
-                eqp = _eqp_bounded(B, c, A_all, b_all, p, nb, W)
-            else:
-                rows = eq_rows + [p + i for i in W]
-                eqp = _eqp(B, c, A_all[rows], b_all[rows])
-        x_new, y = eqp
+        x_new, y = eqp or _eqp_w(B, c, A_all, b_all, eq_rows, W, nb)
         eqp = None
         lam_W = y[p:]
         if abs(x_new - x).max() <= 1e-10 * (1.0 + abs(x).max()):
             if lam_W.size == 0 or lam_W.min() >= -1e-9:
-                lam = np.zeros(m)
-                for j, i in enumerate(W):
-                    lam[i] = max(lam_W[j], 0.0)
-                return QpResult(x_new, lam, y[:p], "optimal", it, list(W))
+                x, status = x_new, "optimal"
+                break
             W.pop(int(lam_W.argmin()))
             continue
         delta = x_new - x
@@ -262,14 +238,32 @@ def solve_qp(
                 # Working set saturated; drop the row with the smallest
                 # multiplier estimate to restore room.
                 W.pop(int(lam_W.argmin()) if lam_W.size else 0)
-    # Iteration cap: report the last subproblem's multiplier estimates
-    # rather than zeros so the caller's stationarity accounting stays sane.
+    # At the iteration cap W may have changed since the last subproblem; its
+    # multiplier estimates are still reported, rather than zeros, so that
+    # the caller's stationarity accounting stays sane.
     lam = np.zeros(m)
-    for j, i in enumerate(W):
-        if j < lam_W.size:
-            lam[i] = max(float(lam_W[j]), 0.0)
-    mu = y[:p] if y.size >= p else np.zeros(p)
-    return QpResult(x, lam, mu, "max_iter", it, list(W))
+    for i, v in zip(W, lam_W):
+        lam[i] = max(v, 0.0)
+    return QpResult(x, lam, y[:p], status, it, W)
+
+
+def _relax(H, g, weight, sigma, A_eq, b_eq, A_in, b_in, S_eq, S_in, z0, W0):
+    """The slack relaxation behind phase 1 and the elastic mode:
+
+        min  1/2 x^T H x + g^T x + weight * sum(s) + sigma/2 |s|^2
+        s.t. A_eq x + S_eq s = b_eq,  A_in x + S_in s <= b_in,  s >= 0
+
+    solved from the feasible start ``z0 = (x, s)`` and warm set ``W0``.  The
+    bounds ``s >= 0`` are inequality rows ``m ..`` after those of ``A_in``,
+    passed to ``solve_qp`` as bounds, so they never enter a KKT system."""
+    n = g.size
+    k = S_in.shape[1]
+    Bz = np.zeros((n + k, n + k))
+    Bz[:n, :n] = H
+    Bz[n:, n:] = sigma * np.eye(k)
+    cz = np.concatenate([g, np.full(k, weight)])
+    return solve_qp(Bz, cz, np.hstack([A_eq, S_eq]), b_eq, np.hstack([A_in, S_in]), b_in,
+                    x0=z0, W0=W0, nb=k)
 
 
 def _phase1(A_eq, b_eq, A_in, b_in, x_init):
@@ -278,31 +272,21 @@ def _phase1(A_eq, b_eq, A_in, b_in, x_init):
     n = x_init.size
     p = b_eq.size
     m = b_in.size
-    viol = A_in @ x_init - b_in
-    s_init = np.maximum(viol, 0.0)
-    scale = 1.0 + abs(b_in).max()
+    s_init = np.maximum(A_in @ x_init - b_in, 0.0)
+    tol = 1e-7 * (1.0 + abs(b_in).max())
     eps = 1e-6
-
-    B = eps * np.eye(n + m)
-    c = np.concatenate([-eps * x_init, np.ones(m)])
-    A_eq_x = np.hstack([A_eq, np.zeros((p, m))]) if p else np.zeros((0, n + m))
-    # rows: A_in x - s <= b_in, then the bounds s >= 0 as rows m .. 2m-1
-    A = np.hstack([A_in, -np.eye(m)])
-    z0 = np.concatenate([x_init, s_init])
-    # Seed the working set with the rows active at z0: the shifted row of a
-    # violated inequality, the slack bound of every other one.  From an empty
-    # set the first step would add exactly these rows, one degenerate
+    # Each inequality gets a slack charged one per unit; the proximal term
+    # eps/2 |x - x_init|^2 makes the QP strictly convex.  The working set
+    # starts with the rows active at (x_init, s_init): the shifted row of a
+    # violated inequality, the slack bound of every other one.  From an
+    # empty set the first step would add exactly these rows, one degenerate
     # (zero-length) iteration each and lowest index first; they are listed
     # in that order because the order steers later ties and rounding.
     W0 = [j for j in range(m) if s_init[j] > 0] + [m + j for j in range(m) if s_init[j] <= 0]
-    res = solve_qp(B, c, A_eq_x, b_eq, A, b_in, x0=z0, W0=W0, nb=m)
-    if res.status == "infeasible":
-        return None
-    x = res.x[:n]
-    s = res.x[n:]
-    if s.max() > 1e-7 * scale:
-        return None
-    if m and (A_in @ x - b_in).max() > 1e-7 * scale:
+    res = _relax(eps * np.eye(n), -eps * x_init, 1.0, eps, A_eq, b_eq, A_in, b_in,
+                 np.zeros((p, m)), -np.eye(m), np.concatenate([x_init, s_init]), W0)
+    x, s = res.x[:n], res.x[n:]
+    if res.status == "infeasible" or s.max() > tol or (A_in @ x - b_in).max() > tol:
         return None
     return x
 
@@ -327,29 +311,18 @@ def solve_qp_elastic(
     p = b_eq.size
     m = b_in.size
     ns = 2 * p + m
-    sigma = 1e-8 * max(penalty, 1.0)
-
-    Bx = np.zeros((n + ns, n + ns))
-    Bx[:n, :n] = B
-    Bx[n:, n:] = sigma * np.eye(ns)
-    cx = np.concatenate([c, penalty * np.ones(ns)])
-    # equalities: A_eq d + s_plus - s_minus = b_eq
-    A_eq_x = np.hstack([A_eq, np.eye(p), -np.eye(p), np.zeros((p, m))])
-    # inequalities: A_in d - s_in <= b_in, then the bounds s >= 0 (rows m ..)
-    A_x = np.hstack([A_in, np.zeros((m, 2 * p)), -np.eye(m)])
-
-    sp = np.maximum(b_eq, 0.0)
-    sm = np.maximum(-b_eq, 0.0)
-    si = np.maximum(-b_in, 0.0) if m else np.zeros(0)
-    z0 = np.concatenate([np.zeros(n), sp, sm, si])
-    # Seed the working set with the slack bounds active at z0: they pin
-    # unnecessary slacks at zero immediately instead of rediscovering them
-    # one blocking row at a time.  A warm set carrying expanded indices
+    # slacks (s_plus, s_minus, s_in) in A_eq d + s_plus - s_minus = b_eq and
+    # A_in d - s_in <= b_in, started at the least ones that hold at d = 0
+    s0 = np.maximum(np.concatenate([b_eq, -b_eq, -b_in]), 0.0)
+    # Seed the working set with the slack bounds active at the start: they
+    # pin unnecessary slacks at zero immediately instead of rediscovering
+    # them one blocking row at a time.  A warm set carrying expanded indices
     # (from a previous elastic solve of the same structure) is used as is.
-    s0 = np.concatenate([sp, sm, si])
     W_init = [i for i in (W0 or []) if i < m + ns]
     if not any(i >= m for i in W_init):
         W_init += [m + j for j in range(ns) if s0[j] <= 0.0]
-    res = solve_qp(Bx, cx, A_eq_x, b_eq, A_x, b_in, x0=z0, W0=W_init, nb=ns)
-    lam = res.lam[:m] if m else np.zeros(0)
-    return QpResult(res.x[:n], lam, res.mu, res.status, res.iterations, res.working_set)
+    res = _relax(B, c, penalty, 1e-8 * max(penalty, 1.0), A_eq, b_eq, A_in, b_in,
+                 np.hstack([np.eye(p), -np.eye(p), np.zeros((p, m))]),
+                 np.hstack([np.zeros((m, 2 * p)), -np.eye(m)]),
+                 np.concatenate([np.zeros(n), s0]), W_init)
+    return QpResult(res.x[:n], res.lam[:m], res.mu, res.status, res.iterations, res.working_set)

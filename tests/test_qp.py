@@ -169,6 +169,18 @@ def test_inconsistent_equalities_with_warm_set_are_infeasible():
     assert res.status == "infeasible"
 
 
+def test_warm_point_off_the_equalities_is_not_a_start():
+    # x1 = 0 and x1 <= 1 with warm set {0}: the SVD fallback puts the warm
+    # EQP point at x1 = 0.5, which meets the inequality but not the equality,
+    # so the method must start from the least-squares point instead
+    A = np.array([[1.0, 0.0, 0.0]])
+    qp_data = (np.eye(3), np.array([-3.0, 0.0, 0.0]), A, np.zeros(1), A, np.ones(1))
+    res = solve_qp(*qp_data, W0=[0])
+    assert res.status == "optimal"
+    np.testing.assert_allclose(A @ res.x, [0.0], atol=1e-12)
+    assert kkt_ok(*qp_data, res)
+
+
 def test_elastic_relaxation_of_infeasible_rows():
     # x <= -1, x >= 1 is inconsistent; elastic splits the difference
     A = np.array([[1.0], [-1.0]])

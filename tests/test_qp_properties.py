@@ -38,11 +38,19 @@ sizes = st.integers(2, 6).flatmap(
 
 
 @SETTINGS
-@given(sizes, st.integers(0, 3))
-def test_start_does_not_change_the_optimum(dims, tight):
+@given(sizes, st.integers(0, 3), st.booleans())
+def test_start_does_not_change_the_optimum(dims, tight, parallel):
     n, p, m, seed = dims
     rng = np.random.default_rng(seed)
     A_eq, b_eq, A_in, b_in = feasible_polytope(rng, n, p, m, min(tight, m, n - p))
+    if parallel and p:
+        # an inequality parallel to an equality, slack on the equalities: a
+        # warm set holding both has a least-squares EQP point off the
+        # equalities, which must not become the start
+        f = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        A_in = np.vstack([A_in, f * A_eq[0]])
+        b_in = np.concatenate([b_in, [f * b_eq[0] + rng.uniform(0.1, 2.0)]])
+        m += 1
     B, c = convex_objective(rng, n)
     qp = (B, c, A_eq, b_eq, A_in, b_in)
     cold = solve_qp(*qp)
