@@ -32,10 +32,9 @@ for fam in counterexamples():
         x_t = fam.x_of_t(t)
         ok, bd = check_eps_stationary(nlp, x_t, lam, np.zeros(0), fam.eps_of_t(t))
         sol = NlpSolution(
-            x=x_t, lam=lam, mu=np.zeros(0), kkt_residual=bd["stationarity"],
-            comp_residual=bd["complementarity"], feas_residual=0.0,
-            epsilon_achieved=max(bd.values()), status=SolveStatus.CONVERGED,
-            iterations=0, provenance=nlp.provenance,
+            x=x_t, lam=lam, mu=np.zeros(0), epsilon_achieved=max(bd.values()),
+            status=SolveStatus.CONVERGED, provenance=nlp.provenance,
+            x_last=x_t, total_iterations=0,
         )
         mult = recover_mpvc_multipliers(fam.problem, fam.scheme, t, sol)
         print(f"  t={t:5.0e}  certificate ok: {ok}   recovered "

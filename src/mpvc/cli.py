@@ -22,6 +22,7 @@ import csv
 import json
 import multiprocessing
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,21 +51,20 @@ def _problem_from_args(args) -> tuple:
 
 
 def _driver_config(args, scheme: Scheme) -> DriverConfig:
+    """DriverConfig with the config file's "driver" keys, which are
+    DriverConfig's own fields plus ``max_inner_iter`` (SolverLimits)."""
     overrides = {}
     if getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text())
-        overrides = cfg.get("driver", {})
-    limits = SolverLimits(max_iter=int(overrides.pop("max_inner_iter", 500)))
-    return DriverConfig(
-        scheme=scheme,
-        t0=float(overrides.get("t0", 1.0)),
-        sigma=float(overrides.get("sigma", 0.1)),
-        t_min=float(overrides.get("t_min", 1e-8)),
-        tol=float(overrides.get("tol", 1e-6)),
-        eps_inner=overrides.get("eps_inner"),
-        tau_act=float(overrides.get("tau_act", 1e-8)),
-        limits=limits,
-    )
+        overrides = dict(json.loads(Path(args.config).read_text()).get("driver", {}))
+    allowed = {f.name for f in fields(DriverConfig) if f.name not in ("scheme", "limits")}
+    unknown = set(overrides) - allowed - {"max_inner_iter"}
+    if unknown:
+        raise ValueError(f"unknown driver config keys: {sorted(unknown)}")
+    if "max_inner_iter" in overrides:
+        overrides["limits"] = SolverLimits(max_iter=int(overrides.pop("max_inner_iter")))
+    for key in set(overrides) & (allowed - {"eps_inner"}):
+        overrides[key] = float(overrides[key])
+    return DriverConfig(scheme=scheme, **overrides)
 
 
 def _parse_x0(text: str, n: int) -> np.ndarray:

@@ -1,21 +1,12 @@
 """Pointwise constraint-qualification diagnostics.
 
-MPVC-LICQ asks the gradients
-
-    grad g_i (i in I_g), grad h_i (all i),
-    grad G_i (i in I_00 u I_+0), grad H_i (i in I_0)
-
-to be linearly independent; MPVC-MFCQ asks
-
-    grad g_i (i in I_g), -grad H_i (i in I_0-), grad G_i (i in I_+0 u I_00)
-
-(the sign-constrained part) together with
-
-    grad h_i (all i), grad H_i (i in I_0+ u I_00)
-
-(the free part) to be positively linearly independent: no vanishing
-combination with nonnegative weights on the first group and arbitrary
-weights on the second, not all zero.
+The MPVC checks read the columns of ``stationarity.weak_stationarity_table``
+at x, the gradients of the multipliers that weak stationarity lets be
+nonzero.  MPVC-LICQ asks all of them to be linearly independent; MPVC-MFCQ
+asks the sign-constrained columns together with the free ones to be
+positively linearly independent: no vanishing combination with nonnegative
+weights on the first group and arbitrary weights on the second, not all
+zero.
 
 LICQ is certified by the smallest singular value of the stacked gradients.
 Positive linear independence is certified in two parts: the free vectors
@@ -35,6 +26,7 @@ import numpy as np
 from .model import MpvcProblem, index_sets
 from .qp import solve_qp
 from .regularize import Nlp
+from .stationarity import weak_stationarity_table
 
 
 @dataclass
@@ -114,22 +106,10 @@ def check_mpvc_licq(
     tau_act: float = 1e-8,
     tau_rank: float = 1e-8,
 ) -> CqReport:
-    """MPVC-LICQ via the smallest singular value of the active gradients."""
+    """MPVC-LICQ via the smallest singular value of the table's columns."""
     x = problem.check_point(x)
-    ix = index_sets(problem, x, tau_act)
-    rows = []
-    if problem.m:
-        _, Jg = problem.g(x)
-        rows += [Jg[i] for i in sorted(ix.I_g)]
-    if problem.p:
-        _, Jh = problem.h(x)
-        rows += list(Jh)
-    if problem.l:
-        _, JG = problem.G(x)
-        _, JH = problem.H(x)
-        rows += [JG[i] for i in sorted(ix.I_00 | ix.I_plus0)]
-        rows += [JH[i] for i in sorted(ix.I_0)]
-    holds, cert = _licq_certificate(rows, problem.n, tau_rank)
+    table = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
+    holds, cert = _licq_certificate([col for col, _, _ in table], problem.n, tau_rank)
     return CqReport("MPVC-LICQ", holds, cert, tau_rank)
 
 
@@ -141,21 +121,9 @@ def check_mpvc_mfcq(
 ) -> CqReport:
     """MPVC-MFCQ via the positive-linear-independence probe."""
     x = problem.check_point(x)
-    ix = index_sets(problem, x, tau_act)
-    signed = []
-    free = []
-    if problem.m:
-        _, Jg = problem.g(x)
-        signed += [Jg[i] for i in sorted(ix.I_g)]
-    if problem.l:
-        _, JG = problem.G(x)
-        _, JH = problem.H(x)
-        signed += [-JH[i] for i in sorted(ix.I_0minus)]
-        signed += [JG[i] for i in sorted(ix.I_plus0 | ix.I_00)]
-        free += [JH[i] for i in sorted(ix.I_0plus | ix.I_00)]
-    if problem.p:
-        _, Jh = problem.h(x)
-        free += list(Jh)
+    table = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
+    signed = [col for col, s, _ in table if s]
+    free = [col for col, s, _ in table if not s]
     holds, cert = pli_probe(signed, free, tau)
     return CqReport("MPVC-MFCQ", holds, cert, tau)
 

@@ -4,10 +4,11 @@ Starting from x0 with parameter t0, repeat while t_k >= t_min and
 max_vio(x_k) > tol: solve the regularized problem R(t_k) warm-started at
 x_k, take its solution as x_{k+1}, shrink t_{k+1} = sigma * t_k.  The final
 iterate is returned whether or not it is feasible; the termination reason
-records which loop condition ended the run.  An inner-solver failure keeps
-the best inner iterate and continues with the smaller t (homotopy usually
-self-heals); InnerFailure is reported only when every iteration from some
-point on failed and the loop ran out of parameter range while infeasible.
+records which loop condition ended the run.  An inner-solver failure
+continues from the inner solve's last iterate (``x_last``) with the
+smaller t (homotopy usually self-heals); InnerFailure is reported only
+when every iteration from some point on failed and the loop ran out of
+parameter range while infeasible.
 
 One nuance: max_vio only measures the products G_i H_i, so it is
 non-positive at every feasible point and at many infeasible ones (negative
@@ -31,7 +32,6 @@ import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np

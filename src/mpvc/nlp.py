@@ -17,13 +17,13 @@ Converged result is a certificate that ``check_eps_stationary`` accepts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ParameterError, PreconditionError
 from .qp import solve_qp, solve_qp_elastic
 from .regularize import Nlp, RowProvenance
 
@@ -41,25 +41,30 @@ _DIVERGENCE_BOUND = 1e10        # max |x_i| beyond which the run stops
 class SolverLimits:
     max_iter: int = 500
 
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ParameterError("need max_iter >= 1")
+
 
 @dataclass
 class NlpSolution:
+    """Result of ``solve_nlp``.
+
+    ``(x, lam, mu, epsilon_achieved)`` is the certificate: the converged
+    iterate on Converged, else the iterate with the smallest epsilon seen.
+    ``x_last`` is where the solve ended (equal to x on Converged), the
+    better continuation for a homotopy caller after a failure, and
+    ``total_iterations`` counts the SQP iterations run.
+    """
+
     x: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
-    kkt_residual: float
-    comp_residual: float
-    feas_residual: float
     epsilon_achieved: float
     status: SolveStatus
-    iterations: int
-    provenance: Optional[RowProvenance] = None
-    # set by solve_nlp on every exit: the final iterate (equals x on
-    # Converged; on failures x is the smallest-epsilon certificate while
-    # the last point is the better continuation for a homotopy caller) and
-    # the SQP iterations run (``iterations`` is the index of the iterate x)
-    x_last: Optional[np.ndarray] = None
-    total_iterations: int = 0
+    provenance: Optional[RowProvenance]
+    x_last: np.ndarray
+    total_iterations: int
 
 
 def stationarity_breakdown(
@@ -165,10 +170,7 @@ def solve_nlp(
     -------
     NlpSolution
         On Converged the certificate (x, lam, mu) passes
-        ``check_eps_stationary`` at eps_target; on other statuses the best
-        iterate seen (smallest epsilon_achieved) is returned.  Every status
-        also carries the final iterate ``x_last`` and the iteration count
-        ``total_iterations``.
+        ``check_eps_stationary`` at eps_target.
     """
     if limits is None:
         limits = SolverLimits()
@@ -200,7 +202,7 @@ def solve_nlp(
     if mu0 is not None and mu0.size:
         rho = max(rho, 1.5 * float(abs(mu0).max()))
 
-    best: Optional[NlpSolution] = None
+    best_x = best_lam = best_mu = best_eps = None
     just_reset = False
     status = SolveStatus.ITER_LIMIT
     it = 0
@@ -254,23 +256,12 @@ def solve_nlp(
         # exact limit.
         grad_max = float(abs(grad_f).max())
         sane = mult_scale <= 1e10 * (1.0 + grad_max)
-        current = NlpSolution(
-            x=x.copy(),
-            lam=lam.copy(),
-            mu=mu.copy(),
-            kkt_residual=bd["stationarity"],
-            comp_residual=bd["complementarity"],
-            feas_residual=max(bd["feasibility_ineq"], bd["feasibility_eq"]),
-            epsilon_achieved=eps_ach,
-            status=status,
-            iterations=it,
-            provenance=nlp.provenance,
-        )
-        if eps_ach <= eps_target and sane:
-            best, status = current, SolveStatus.CONVERGED
+        converged = eps_ach <= eps_target and sane
+        if converged or best_x is None or (sane and eps_ach < best_eps):
+            best_x, best_lam, best_mu, best_eps = x.copy(), lam.copy(), mu.copy(), eps_ach
+        if converged:
+            status = SolveStatus.CONVERGED
             break
-        if best is None or (sane and eps_ach < best.epsilon_achieved):
-            best = current
 
         # Max-multiplier penalty rule for the l1 merit function, with the
         # chase bounded: near degenerate loci the QP multipliers diverge
@@ -328,10 +319,9 @@ def solve_nlp(
                     soc_tried = True
                     rows = [Jh] if nlp.n_eq else []
                     rhs = [-h_t] if nlp.n_eq else []
-                    act = [i for i in W_warm if i < nlp.n_ineq]
-                    if act and ok:
-                        rows.append(Jg[act])
-                        rhs.append(-g_t[act])
+                    if W_warm and ok:
+                        rows.append(Jg[W_warm])
+                        rhs.append(-g_t[W_warm])
                     if rows and ok:
                         C = np.vstack(rows)
                         r = np.concatenate(rhs)
@@ -426,7 +416,7 @@ def solve_nlp(
         if abs(x).max() > _DIVERGENCE_BOUND:
             break
 
-    best.status = status
-    best.x_last = x.copy()
-    best.total_iterations = it
-    return best
+    return NlpSolution(
+        x=best_x, lam=best_lam, mu=best_mu, epsilon_achieved=best_eps, status=status,
+        provenance=nlp.provenance, x_last=x.copy(), total_iterations=it,
+    )

@@ -20,13 +20,14 @@ regularized problem back to MPVC multipliers through the kernel gradient
 coefficients (c_G, c_H), plus an index-set mask for GLOBAL; ``classify``
 grades any multiplier set; and ``find_multipliers`` fits multipliers
 directly by sign-constrained linear least squares when none are available
-(e.g. for the direct baseline).
+(e.g. for the direct baseline).  ``weak_stationarity_table`` states the
+support and signs above once, as gradient-equation columns; the fit and
+the MPVC-LICQ / MPVC-MFCQ checks in ``cq`` all read it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
 
 import numpy as np
 
@@ -212,6 +213,30 @@ def classify(
     )
 
 
+def weak_stationarity_table(problem: MpvcProblem, x: np.ndarray, ix: IndexSets) -> list:
+    """The multipliers that weak stationarity lets be nonzero at x.
+
+    One entry ``(column, signed, (field, index))`` per multiplier, with
+    ``column`` its coefficient vector in the gradient equation
+    grad f + sum value * column = 0 and ``signed`` whether it must be
+    nonnegative.  In order: lam on I_g (signed), every mu, etaH on I_0
+    (column -grad H_i, signed on I_0-), etaG on I_+0 u I_00 (signed).
+    """
+    table = []
+    if problem.m:
+        _, Jg = problem.g(x)
+        table += [(Jg[i], True, ("lam", i)) for i in sorted(ix.I_g)]
+    if problem.p:
+        _, Jh = problem.h(x)
+        table += [(Jh[i], False, ("mu", i)) for i in range(problem.p)]
+    if problem.l:
+        _, JH = problem.H(x)
+        _, JG = problem.G(x)
+        table += [(-JH[i], i in ix.I_0minus, ("eta_H", i)) for i in sorted(ix.I_0)]
+        table += [(JG[i], True, ("eta_G", i)) for i in sorted(ix.I_plus0 | ix.I_00)]
+    return table
+
+
 def find_multipliers(
     problem: MpvcProblem,
     x: np.ndarray,
@@ -220,43 +245,16 @@ def find_multipliers(
     """Fit weak-stationarity multipliers at x by least squares.
 
     Minimizes the 2-norm of the gradient equation residual over the
-    weak-stationarity support subject to the weak-stationarity sign
-    constraints; returns the fitted multipliers and the inf-norm of the
-    remaining residual.  Requires x approximately feasible
-    (full_violation <= 1e-4).
+    entries of ``weak_stationarity_table`` (index sets banded with tau_act)
+    subject to their sign constraints; every other multiplier is 0.
+    Returns the fitted multipliers and the inf-norm of the remaining
+    residual.  Requires x approximately feasible (full_violation <= 1e-4).
     """
     x = problem.check_point(x)
     if full_violation(problem, x) > 1e-4:
         raise PreconditionError("find_multipliers needs an approximately feasible point")
     _, grad_f = problem.f(x)
-    ix = index_sets(problem, x, tau_act)
-
-    cols = []
-    signed = []
-    tags = []
-    if problem.m:
-        _, Jg = problem.g(x)
-        for i in sorted(ix.I_g):
-            cols.append(Jg[i])
-            signed.append(True)
-            tags.append(("lam", i))
-    if problem.p:
-        _, Jh = problem.h(x)
-        for i in range(problem.p):
-            cols.append(Jh[i])
-            signed.append(False)
-            tags.append(("mu", i))
-    if problem.l:
-        _, JH = problem.H(x)
-        _, JG = problem.G(x)
-        for i in sorted(ix.I_0):
-            cols.append(-JH[i])
-            signed.append(i in ix.I_0minus)
-            tags.append(("eta_H", i))
-        for i in sorted(ix.I_plus0 | ix.I_00):
-            cols.append(JG[i])
-            signed.append(True)
-            tags.append(("eta_G", i))
+    table = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
 
     mult = MpvcMultipliers(
         lam=np.zeros(problem.m),
@@ -264,22 +262,21 @@ def find_multipliers(
         eta_H=np.zeros(problem.l),
         eta_G=np.zeros(problem.l),
     )
-    if not cols:
+    if not table:
         resid = float(np.max(np.abs(grad_f))) if grad_f.size else 0.0
         return mult, resid
 
-    A = np.array(cols).T                      # n x k
+    A = np.array([col for col, _, _ in table]).T      # n x k
     k = A.shape[1]
     Bq = A.T @ A + 1e-12 * (1.0 + np.trace(A.T @ A)) * np.eye(k)
     cq = A.T @ grad_f
-    rows = [j for j in range(k) if signed[j]]
+    rows = [j for j, (_, signed, _) in enumerate(table) if signed]
     A_in = np.zeros((len(rows), k))
-    for r, j in enumerate(rows):
-        A_in[r, j] = -1.0
+    A_in[range(len(rows)), rows] = -1.0
     res = solve_qp(Bq, cq, np.zeros((0, k)), np.zeros(0), A_in, np.zeros(len(rows)),
                    x0=np.zeros(k))
     z = res.x
-    for val, (kind, i) in zip(z, tags):
+    for val, (_, _, (kind, i)) in zip(z, table):
         getattr(mult, kind)[i] = val
     resid_vec = A @ z + grad_f
     return mult, float(np.max(np.abs(resid_vec)))

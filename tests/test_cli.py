@@ -52,13 +52,41 @@ def test_solve_direct_reports_iterations_run(tmp_path):
     # this start ends LineSearchFail with its best iterate before the last
     x0 = np.array([13.0, -5.0])
     sol = solve_nlp(direct_nlp(academic()), x0, eps_target=1e-9)
-    assert sol.iterations < sol.total_iterations
+    assert not np.array_equal(sol.x, sol.x_last)
     run([
         "solve", "--problem", "academic", "--scheme", "none",
         "--x0", "13,-5", "--out", str(tmp_path),
     ])
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["inner_iterations"] == sol.total_iterations
+
+
+def write_config(tmp_path, driver):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"driver": driver}))
+    return str(path)
+
+
+def test_config_sigma_shrinks_t(tmp_path):
+    out = tmp_path / "out"
+    code = run([
+        "solve", "--problem", "academic", "--scheme", "global", "--x0", "10,10",
+        "--config", write_config(tmp_path, {"sigma": 0.5}), "--out", str(out),
+    ])
+    assert code == 0
+    lines = (out / "trace.csv").read_text().strip().splitlines()[1:]
+    ts = [float(line.split(",")[1]) for line in lines]
+    assert len(ts) >= 3 and ts[0] == 1.0
+    assert all(b == 0.5 * a for a, b in zip(ts, ts[1:]))
+
+
+@pytest.mark.parametrize("driver", [{"sigmma": 0.5}, {"max_inner_iter": 0}, {"sigma": "abc"}])
+def test_bad_driver_config_is_usage_error(tmp_path, driver):
+    code = run([
+        "solve", "--problem", "academic", "--scheme", "global", "--x0", "10,10",
+        "--config", write_config(tmp_path, driver), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
 
 
 def test_unknown_problem_is_usage_error(tmp_path, capsys):

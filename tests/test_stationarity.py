@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from mpvc.errors import PreconditionError
 from mpvc.model import empty_vector_fn, MpvcProblem
 from mpvc.nlp import NlpSolution, SolveStatus, solve_nlp
-from mpvc.model import index_sets
+from mpvc.model import full_violation, index_sets
 from mpvc.problems import academic, counterexamples, ten_bar
 from mpvc.regularize import Scheme, regularize
 from mpvc.stationarity import (
@@ -16,6 +17,7 @@ from mpvc.stationarity import (
     classify,
     find_multipliers,
     recover_mpvc_multipliers,
+    weak_stationarity_table,
 )
 
 
@@ -24,13 +26,11 @@ def make_solution(nlp, x, lam, mu=None):
         x=np.asarray(x, float),
         lam=np.asarray(lam, float),
         mu=np.zeros(0) if mu is None else np.asarray(mu, float),
-        kkt_residual=0.0,
-        comp_residual=0.0,
-        feas_residual=0.0,
         epsilon_achieved=0.0,
         status=SolveStatus.CONVERGED,
-        iterations=1,
         provenance=nlp.provenance,
+        x_last=np.asarray(x, float),
+        total_iterations=1,
     )
 
 
@@ -123,13 +123,11 @@ class TestRecovery:
             x=np.zeros(2),
             lam=np.zeros(4),
             mu=np.zeros(0),
-            kkt_residual=0.0,
-            comp_residual=0.0,
-            feas_residual=0.0,
             epsilon_achieved=0.0,
             status=SolveStatus.CONVERGED,
-            iterations=0,
             provenance=None,
+            x_last=np.zeros(2),
+            total_iterations=1,
         )
         with pytest.raises(PreconditionError):
             recover_mpvc_multipliers(prob, Scheme.GLOBAL, 1.0, sol)
@@ -216,6 +214,70 @@ class TestClassify:
             rep = classify(prob, x, mult, tau=1e-4)
             grades.append(rep.grade)
         assert grades[-1] >= Grade.T
+
+
+class TestWeakStationarityTable:
+    @staticmethod
+    def points(seed):
+        """Academic and ten-bar points, some pairs placed on H = 0 or G = 0."""
+        rng = np.random.default_rng(seed)
+        for prob in (academic(), ten_bar()):
+            for x in prob.known_points.values():
+                yield prob, x
+            x_ref = prob.known_points.get("x0", np.array([1.0, 4.0]))
+            for _ in range(30):
+                x = x_ref + 0.5 * rng.normal(size=prob.n)
+                x[rng.choice(prob.l, size=rng.integers(prob.l + 1), replace=False)] = 0.0
+                if prob.name == "academic" and rng.random() < 0.5:
+                    x[1] = 5.0 - x[0]                      # G_2 = 0
+                yield prob, x
+
+    @staticmethod
+    def off_table(prob, ix):
+        """The slots weak stationarity holds at 0."""
+        return (
+            [("lam", i) for i in range(prob.m) if i not in ix.I_g]
+            + [("eta_H", i) for i in sorted(ix.I_plus)]
+            + [("eta_G", i) for i in sorted(ix.I_plusminus | ix.I_0plus | ix.I_0minus)]
+        )
+
+    def test_columns_and_slots(self):
+        rng = np.random.default_rng(5)
+        for (prob, x), tau_act in itertools.product(self.points(3), (1e-8, 0.5, 3.0)):
+            ix = index_sets(prob, x, tau_act)
+            table = weak_stationarity_table(prob, x, ix)
+            slots = [slot for _, _, slot in table]
+            assert len(set(slots)) == len(slots)
+            signed = {slot for _, s, slot in table if s}
+            assert signed == {
+                (kind, i) for kind, i in slots
+                if kind in ("lam", "eta_G") or (kind == "eta_H" and i in ix.I_0minus)
+            }
+            z = rng.normal(size=len(table))
+            mult = MpvcMultipliers(
+                lam=np.zeros(prob.m), mu=np.zeros(prob.p),
+                eta_H=np.zeros(prob.l), eta_G=np.zeros(prob.l),
+            )
+            for val, (_, _, (kind, i)) in zip(z, table):
+                getattr(mult, kind)[i] = val
+            _, grad_f = prob.f(x)
+            combo = sum((val * col for val, (col, _, _) in zip(z, table)), np.zeros(prob.n))
+            scale = 1.0 + sum(abs(val) * np.max(np.abs(col)) for val, (col, _, _) in zip(z, table))
+            resid = _gradient_equation_residual(prob, x, mult) - grad_f
+            assert np.max(np.abs(resid - combo)) <= 1e-12 * scale
+            for kind, i in self.off_table(prob, ix):
+                assert (kind, i) not in slots and getattr(mult, kind)[i] == 0.0
+
+    def test_fit_is_zero_off_table(self):
+        checked = 0
+        for prob, x in self.points(4):
+            if full_violation(prob, x) > 1e-4:
+                continue
+            mult, _ = find_multipliers(prob, x)
+            for kind, i in self.off_table(prob, index_sets(prob, x, 1e-8)):
+                assert getattr(mult, kind)[i] == 0.0
+            checked += 1
+        assert checked >= 3
 
 
 class TestFindMultipliers:
