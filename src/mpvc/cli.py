@@ -4,8 +4,9 @@ Subcommands:
 
 * ``solve``  one driver run (or a direct solve with ``--scheme none``);
   writes a result JSON and a per-iteration trace CSV
-* ``grid``   a grid of independent starts; writes a per-start CSV plus a
-  summary JSON with iteration totals and attractor-bucket counts
+* ``grid``   a grid of independent starts of a two-variable problem; writes
+  a per-start CSV plus a summary JSON with iteration totals and
+  attractor-bucket counts
 * ``check``  point diagnostics: index sets, fitted multipliers with the
   stationarity grade, MPVC-LICQ / MPVC-MFCQ reports, all as JSON
 * ``bench``  the benchmark suite (ten-bar truss across schemes plus the
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .driver import DriverConfig, StopReason, solve_mpvc
+from .errors import PreconditionError
 from .model import full_violation, index_sets, max_vio
 from .nlp import SolverLimits, SolveStatus, check_eps_stationary, solve_nlp
 from .cq import check_mpvc_licq, check_mpvc_mfcq
@@ -36,35 +38,41 @@ from .regularize import Scheme, direct_nlp, regularize
 from .stationarity import classify, find_multipliers, recover_mpvc_multipliers
 
 BUCKET_RADIUS = 1e-3          # max-norm radius for attractor bucketing
+_DRIVER_KEYS = {f.name for f in fields(DriverConfig)} - {"scheme", "limits"}
 
 
-def _problem_from_args(args) -> tuple:
-    kwargs = {}
-    if args.problem == "aerothermo":
-        if getattr(args, "nodes", None):
-            kwargs["N"] = args.nodes
-        if getattr(args, "config", None):
-            cfg = json.loads(Path(args.config).read_text())
-            if "aerothermo_constants" in cfg:
-                kwargs["constants"] = cfg["aerothermo_constants"]
-    return by_name(args.problem, **kwargs)
-
-
-def _driver_config(args, scheme: Scheme) -> DriverConfig:
-    """DriverConfig with the config file's "driver" keys, which are
-    DriverConfig's own fields plus ``max_inner_iter`` (SolverLimits)."""
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides = dict(json.loads(Path(args.config).read_text()).get("driver", {}))
-    allowed = {f.name for f in fields(DriverConfig) if f.name not in ("scheme", "limits")}
-    unknown = set(overrides) - allowed - {"max_inner_iter"}
+def _load_config(path, problem_name: str) -> dict:
+    """The ``--config`` JSON object: ``"driver"`` overrides, plus
+    ``"aerothermo_constants"`` for the aerothermo problem."""
+    if path is None:
+        return {}
+    config = json.loads(Path(path).read_text())
+    allowed = {"driver", "aerothermo_constants"} if problem_name == "aerothermo" else {"driver"}
+    unknown = set(config) - allowed
     if unknown:
-        raise ValueError(f"unknown driver config keys: {sorted(unknown)}")
-    if "max_inner_iter" in overrides:
-        overrides["limits"] = SolverLimits(max_iter=int(overrides.pop("max_inner_iter")))
-    for key in set(overrides) & (allowed - {"eps_inner"}):
-        overrides[key] = float(overrides[key])
-    return DriverConfig(scheme=scheme, **overrides)
+        raise ValueError(f"unknown config keys for {problem_name}: {sorted(unknown)}")
+    return config
+
+
+def _problem_from_args(args, config: dict):
+    if args.problem != "aerothermo":
+        return by_name(args.problem)
+    kwargs = {"N": args.nodes} if args.nodes else {}
+    return by_name("aerothermo", constants=config.get("aerothermo_constants"), **kwargs)
+
+
+def _driver_config(scheme: Scheme, overrides: dict) -> DriverConfig:
+    """DriverConfig from the config file's "driver" keys: DriverConfig's own
+    fields (numbers; ``eps_inner`` may be null) plus ``max_inner_iter``."""
+    kwargs = {}
+    for key, value in overrides.items():
+        if key == "max_inner_iter":
+            kwargs["limits"] = SolverLimits(max_iter=int(value))
+        elif key in _DRIVER_KEYS:
+            kwargs[key] = None if value is None and key == "eps_inner" else float(value)
+        else:
+            raise ValueError(f"unknown driver config key {key!r}")
+    return DriverConfig(scheme=scheme, **kwargs)
 
 
 def _parse_x0(text: str, n: int) -> np.ndarray:
@@ -74,71 +82,59 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
     return vals
 
 
-def _default_x0(problem) -> np.ndarray:
-    if "x0" in problem.known_points:
-        return problem.known_points["x0"].copy()
-    return np.zeros(problem.n)
-
-
-def run_single(problem, scheme_name: str, config_builder, x0):
-    """One solve; returns (result dict, trace rows or None)."""
+def run_single(problem, scheme_name: str, driver_overrides: dict, x0):
+    """One solve, direct (``"none"``) or through the driver with the config
+    file's "driver" keys; returns (result dict, driver trace or None)."""
     if scheme_name == "none":
-        nlp = direct_nlp(problem)
-        sol = solve_nlp(nlp, x0, eps_target=1e-9)
-        x = sol.x
-        grade = _grade_at(problem, x)
-        result = {
-            "scheme": "none",
-            "x": x.tolist(),
-            "f": problem.f(x)[0],
-            "max_vio": max_vio(problem, x),
-            "full_violation": full_violation(problem, x),
-            "grade": grade,
+        sol = solve_nlp(direct_nlp(problem), x0, eps_target=1e-9)
+        x, trace, grade = sol.x, None, _grade_at(problem, sol.x)
+        mode = {
             "outer_iterations": 1,
             "inner_iterations": sol.total_iterations,
             "status": sol.status.value,
             "converged": sol.status is SolveStatus.CONVERGED,
         }
-        return result, None
-
-    scheme = Scheme(scheme_name)
-    config = config_builder(scheme)
-    res = solve_mpvc(problem, config, x0)
-    if res.last_solution is not None and res.last_t is not None:
-        mult = recover_mpvc_multipliers(
-            problem, scheme, res.last_t, res.last_solution, config.tau_act
-        )
-        grade = classify(problem, res.x, mult, tau=1e-4).grade.label()
     else:
-        grade = _grade_at(problem, res.x)
+        scheme = Scheme(scheme_name)
+        config = _driver_config(scheme, driver_overrides)
+        res = solve_mpvc(problem, config, x0)
+        x, trace = res.x, res.trace
+        if res.last_solution is not None:
+            mult = recover_mpvc_multipliers(
+                problem, scheme, res.last_t, res.last_solution, config.tau_act
+            )
+            grade = classify(problem, x, mult, tau=1e-4).grade.label()
+        else:
+            grade = _grade_at(problem, x)
+        mode = {
+            "outer_iterations": trace.outer_iterations,
+            "inner_iterations": trace.total_inner_iterations,
+            "termination": trace.reason.value,
+            "converged": trace.reason is StopReason.FEASIBILITY,
+        }
     result = {
         "scheme": scheme_name,
-        "x": res.x.tolist(),
-        "f": res.f,
-        "max_vio": max_vio(problem, res.x),
-        "full_violation": full_violation(problem, res.x),
+        "x": x.tolist(),
+        "f": float(problem.f(x)[0]),
+        "max_vio": max_vio(problem, x),
+        "full_violation": full_violation(problem, x),
         "grade": grade,
-        "outer_iterations": res.trace.outer_iterations,
-        "inner_iterations": res.trace.total_inner_iterations,
-        "termination": res.trace.reason.value,
-        "converged": res.trace.reason is StopReason.FEASIBILITY,
+        **mode,
     }
-    return result, res.trace
+    return result, trace
 
 
 def _grade_at(problem, x) -> str:
     try:
         mult, _ = find_multipliers(problem, x)
-    except Exception:
+    except PreconditionError:
         return "NotWeak"
     return classify(problem, x, mult, tau=1e-4).grade.label()
 
 
 def bucket_of(problem, x: np.ndarray) -> str:
     for label, ref in problem.known_points.items():
-        if label == "x0":
-            continue
-        if np.max(np.abs(x - ref)) < BUCKET_RADIUS:
+        if label != "x0" and np.max(np.abs(x - ref)) < BUCKET_RADIUS:
             return label
     return "neither"
 
@@ -154,54 +150,27 @@ def _grid_points(spec: str) -> list:
 
 
 def _grid_worker(job):
-    idx, problem_name, scheme_name, x0_list, config_json = job
+    idx, problem_name, scheme_name, x0_list, driver_overrides = job
     problem = by_name(problem_name)
     x0 = np.array(x0_list)
-
-    def builder(scheme):
-        kw = dict(config_json)
-        return DriverConfig(scheme=scheme, **kw)
-
-    try:
-        result, _ = run_single(problem, scheme_name, builder, x0)
-        term = np.array(result["x"])
-        bucket = bucket_of(problem, term)
-        row = {
-            "index": idx,
-            "x0_1": x0[0],
-            "x0_2": x0[1],
-            "x_1": term[0],
-            "x_2": term[1],
-            "f": result["f"],
-            "bucket": bucket,
-            "grade": result["grade"],
-            "converged": result["converged"],
-            "outer_iterations": result["outer_iterations"],
-            "inner_iterations": result["inner_iterations"],
-        }
-    except Exception:
-        row = {
-            "index": idx,
-            "x0_1": x0[0],
-            "x0_2": x0[1],
-            "x_1": np.nan,
-            "x_2": np.nan,
-            "f": np.nan,
-            "bucket": "neither",
-            "grade": "NotWeak",
-            "converged": False,
-            "outer_iterations": 0,
-            "inner_iterations": 0,
-        }
+    result, _ = run_single(problem, scheme_name, driver_overrides, x0)
+    x = np.array(result["x"])
+    row = {"index": idx, "x0_1": x0[0], "x0_2": x0[1], "x_1": x[0], "x_2": x[1],
+           "f": result["f"], "bucket": bucket_of(problem, x)}
+    for key in ("grade", "converged", "outer_iterations", "inner_iterations"):
+        row[key] = result[key]
     return row
 
 
 def run_grid(problem_name: str, scheme_name: str, points: list, jobs: int = 1,
-             driver_kwargs: dict | None = None) -> tuple:
-    """Independent solves from every start; returns (rows, summary)."""
-    driver_kwargs = driver_kwargs or {}
+             driver_overrides: dict | None = None) -> tuple:
+    """Independent solves of a two-variable problem from every start;
+    returns (rows, summary)."""
+    problem = by_name(problem_name)
+    if problem.n != 2:
+        raise ValueError(f"grid needs a two-variable problem; {problem_name} has n = {problem.n}")
     jobs_list = [
-        (i, problem_name, scheme_name, p.tolist(), driver_kwargs)
+        (i, problem_name, scheme_name, p.tolist(), driver_overrides or {})
         for i, p in enumerate(points)
     ]
     if jobs > 1:
@@ -210,7 +179,6 @@ def run_grid(problem_name: str, scheme_name: str, points: list, jobs: int = 1,
     else:
         rows = [_grid_worker(j) for j in jobs_list]
     rows.sort(key=lambda r: r["index"])
-    problem = by_name(problem_name)
     labels = [k for k in problem.known_points if k != "x0"] + ["neither"]
     summary = {
         "scheme": scheme_name,
@@ -222,10 +190,13 @@ def run_grid(problem_name: str, scheme_name: str, points: list, jobs: int = 1,
     return rows, summary
 
 
-def cmd_solve(args) -> int:
-    problem = _problem_from_args(args)
-    x0 = _parse_x0(args.x0, problem.n) if args.x0 else _default_x0(problem)
-    result, trace = run_single(problem, args.scheme, lambda s: _driver_config(args, s), x0)
+def cmd_solve(args, config: dict) -> int:
+    problem = _problem_from_args(args, config)
+    if args.x0:
+        x0 = _parse_x0(args.x0, problem.n)
+    else:
+        x0 = problem.known_points.get("x0", np.zeros(problem.n))
+    result, trace = run_single(problem, args.scheme, config.get("driver", {}), x0)
     result["problem"] = args.problem
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,22 +208,17 @@ def cmd_solve(args) -> int:
     return 0 if result["converged"] else 1
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args, config: dict) -> int:
     if not args.grid:
         print("grid subcommand requires --grid", file=sys.stderr)
         return 2
     points = _grid_points(args.grid)
-    rows, summary = run_grid(args.problem, args.scheme, points, jobs=args.jobs)
+    rows, summary = run_grid(args.problem, args.scheme, points, jobs=args.jobs,
+                             driver_overrides=config.get("driver", {}))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "grid.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "index", "x0_1", "x0_2", "x_1", "x_2", "f", "bucket",
-                "grade", "converged", "outer_iterations", "inner_iterations",
-            ],
-        )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
         writer.writeheader()
         writer.writerows(rows)
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
@@ -260,8 +226,8 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    problem = _problem_from_args(args)
+def cmd_check(args, config: dict) -> int:
+    problem = _problem_from_args(args, config)
     if not args.x0:
         print("check subcommand requires --x0", file=sys.stderr)
         return 2
@@ -282,7 +248,7 @@ def cmd_check(args) -> int:
         report["fit_residual"] = resid
         report["grade"] = rep.grade.label()
         report["stationarity"] = rep.as_dict()
-    except Exception as exc:
+    except PreconditionError as exc:
         report["grade"] = "NotWeak"
         report["note"] = f"multiplier fit unavailable: {exc}"
     out = Path(args.out)
@@ -292,12 +258,12 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, config: dict) -> int:
     results = {"ten_bar": {}, "counterexamples": {}}
     problem = by_name("ten_bar")
     x0 = problem.known_points["x0"]
     for scheme in ["global", "local", "lshaped", "nonsmooth", "none"]:
-        res, _ = run_single(problem, scheme, lambda s: _driver_config(args, s), x0)
+        res, _ = run_single(problem, scheme, config.get("driver", {}), x0)
         results["ten_bar"][scheme] = {
             "f": res["f"],
             "full_violation": res["full_violation"],
@@ -350,7 +316,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config, args.problem))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

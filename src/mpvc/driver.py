@@ -32,11 +32,11 @@ import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, PreconditionError
 from .model import MpvcProblem, full_violation, max_vio
 from .nlp import NlpSolution, SolverLimits, SolveStatus, solve_nlp
 from .regularize import Scheme, regularize
@@ -55,7 +55,7 @@ class DriverConfig:
     sigma: float = 0.1
     t_min: float = 1e-8
     tol: float = 1e-6
-    eps_inner: Union[None, float, Callable[[float], float]] = None
+    eps_inner: Optional[float] = None
     tau_act: float = 1e-8
     limits: SolverLimits = field(default_factory=SolverLimits)
 
@@ -68,10 +68,8 @@ class DriverConfig:
             raise ParameterError("need tol > 0")
 
     def inner_eps(self, t: float) -> float:
-        if callable(self.eps_inner):
-            return float(self.eps_inner(t))
         if self.eps_inner is not None:
-            return float(self.eps_inner)
+            return self.eps_inner
         if self.scheme is Scheme.GLOBAL:
             return max(1e-9, 1e-2 * t)
         return 1e-9
@@ -143,13 +141,14 @@ class DriverResult:
 
 def _start_is_stationary(problem: MpvcProblem, x: np.ndarray, tol: float) -> bool:
     """Feasible and weakly stationary: nothing for the loop to do."""
+    # imported per call so that wrappers set on the module later see it
     from .stationarity import Grade, classify, find_multipliers
 
     if full_violation(problem, x) > tol:
         return False
     try:
         mult, _ = find_multipliers(problem, x)
-    except Exception:
+    except PreconditionError:
         return False
     return classify(problem, x, mult, tau=1e-6).grade >= Grade.WEAK
 

@@ -31,6 +31,7 @@ class SolveStatus(Enum):
     CONVERGED = "Converged"
     ITER_LIMIT = "IterLimit"
     LINESEARCH_FAIL = "LineSearchFail"
+    DIVERGED = "Diverged"
 
 
 _LS_MAX = 40                    # backtracking halvings; alpha_min ~ 1e-12
@@ -414,6 +415,7 @@ def solve_nlp(
             status = SolveStatus.LINESEARCH_FAIL
             break
         if abs(x).max() > _DIVERGENCE_BOUND:
+            status = SolveStatus.DIVERGED
             break
 
     return NlpSolution(

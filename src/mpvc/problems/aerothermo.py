@@ -163,43 +163,31 @@ def aerothermo(N: int = 30, constants: Optional[dict] = None) -> MpvcProblem:
     def f(x):
         return float(x[4 * (N - 1) + 3]), grad_obj
 
-    # --- inequality block -------------------------------------------------
-    m_box = 5 * (N + 1)
-    m = m_box + 3 + 2 * N
+    # --- inequality block (affine: sign * x[cols] - offset) --------------
+    # per node: C_L box, thrust box, Qc upper bound; then the tau box and
+    # the final altitude cap; per state node: v >= v_min and h >= 0
+    m = 5 * (N + 1) + 3 + 2 * N
+    ctrl0 = n_states + 3 * np.arange(N + 1)
+    node0 = 4 * np.arange(N)
+    g_cols = np.concatenate([
+        np.column_stack([ctrl0, ctrl0, ctrl0 + 1, ctrl0 + 1, ctrl0 + 2]).ravel(),
+        [tau_idx, tau_idx, 4 * (N - 1) + 2],
+        np.column_stack([node0, node0 + 2]).ravel(),
+    ])
+    g_sign = np.concatenate([
+        np.tile([1.0, -1.0, 1.0, -1.0, 1.0], N + 1), [1.0, -1.0, 1.0], np.full(2 * N, -1.0)
+    ])
+    g_offset = np.concatenate([
+        np.tile([consts["cl_max"], -consts["cl_min"], thrust_max, 0.0, consts["qc_max_w_cm2"]],
+                N + 1),
+        [tau_hi, -tau_lo, consts["h_final_max_km"]],
+        np.tile([-consts["v_min_km_s"], 0.0], N),
+    ])
+    Jg = np.zeros((m, n))
+    Jg[np.arange(m), g_cols] = g_sign
 
     def g(x):
-        vals = np.empty(m)
-        jac = np.zeros((m, n))
-        row = 0
-        for i in range(N + 1):
-            off = n_states + 3 * i
-            cl, thr, qc = x[off], x[off + 1], x[off + 2]
-            vals[row] = cl - consts["cl_max"]
-            jac[row, off] = 1.0
-            vals[row + 1] = consts["cl_min"] - cl
-            jac[row + 1, off] = -1.0
-            vals[row + 2] = thr - thrust_max
-            jac[row + 2, off + 1] = 1.0
-            vals[row + 3] = -thr
-            jac[row + 3, off + 1] = -1.0
-            vals[row + 4] = qc - consts["qc_max_w_cm2"]
-            jac[row + 4, off + 2] = 1.0
-            row += 5
-        vals[row] = x[tau_idx] - tau_hi
-        jac[row, tau_idx] = 1.0
-        vals[row + 1] = tau_lo - x[tau_idx]
-        jac[row + 1, tau_idx] = -1.0
-        vals[row + 2] = x[4 * (N - 1) + 2] - consts["h_final_max_km"]
-        jac[row + 2, 4 * (N - 1) + 2] = 1.0
-        row += 3
-        for i in range(1, N + 1):
-            off = 4 * (i - 1)
-            vals[row] = consts["v_min_km_s"] - x[off]
-            jac[row, off] = -1.0
-            vals[row + 1] = -x[off + 2]
-            jac[row + 1, off + 2] = -1.0
-            row += 2
-        return vals, jac
+        return g_sign * x[g_cols] - g_offset, Jg
 
     # --- defect equalities ------------------------------------------------
     def h(x):
@@ -224,14 +212,12 @@ def aerothermo(N: int = 30, constants: Optional[dict] = None) -> MpvcProblem:
     # --- vanishing pairs ---------------------------------------------------
     l = N + 1
 
+    H_cols = ctrl0 + 2                      # Qc at every node
+    JH = np.zeros((l, n))
+    JH[np.arange(l), H_cols] = 1.0
+
     def H(x):
-        vals = np.empty(l)
-        jac = np.zeros((l, n))
-        for i in range(N + 1):
-            off = n_states + 3 * i + 2
-            vals[i] = x[off]
-            jac[i, off] = 1.0
-        return vals, jac
+        return x[H_cols], JH
 
     def G(x):
         vals = np.empty(l)

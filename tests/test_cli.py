@@ -89,6 +89,31 @@ def test_bad_driver_config_is_usage_error(tmp_path, driver):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, config", [
+    (["solve", "--x0", "10,10"], {"drivr": {"sigma": 0.5}}),
+    (["solve", "--x0", "10,10"], {"aerothermo_constants": {"K_e": 1e-3}}),
+    (["grid", "--grid", "0,1,2,0,1,2"], {"driver": {"sigmma": 0.5}}),
+    (["grid", "--problem", "ten_bar", "--grid", "0,1,2,0,1,2"], {}),
+], ids=["unknown-top-level-key", "constants-off-aerothermo", "grid-unknown-driver-key",
+        "grid-ten-bar"])
+def test_usage_error(tmp_path, args, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run([*args, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_grid_honours_config(tmp_path):
+    config = write_config(tmp_path, {"sigma": 0.5, "max_inner_iter": 1})
+    outer = {}
+    for name, extra in [("plain", []), ("config", ["--config", config])]:
+        out = tmp_path / name
+        run(["grid", "--grid", "10,10,1,10,10,1", "--out", str(out), *extra])
+        outer[name] = json.loads((out / "summary.json").read_text())["total_outer_iterations"]
+    run(["solve", "--x0", "10,10", "--config", config, "--out", str(tmp_path / "solve")])
+    result = json.loads((tmp_path / "solve" / "result.json").read_text())
+    assert outer["config"] == result["outer_iterations"] != outer["plain"]
+
+
 def test_unknown_problem_is_usage_error(tmp_path, capsys):
     code = run([
         "solve", "--problem", "nope", "--scheme", "global", "--out", str(tmp_path),

@@ -133,6 +133,14 @@ class TestExits:
         assert sol.x_last.shape == (1,)
         assert 1 < sol.total_iterations < SolverLimits().max_iter
 
+    def test_diverged(self):
+        # min -x without constraints is unbounded below
+        nlp = simple_nlp(objective=lambda x: (-float(x[0]), np.array([-1.0])))
+        sol = solve_nlp(nlp, np.array([0.0]))
+        assert sol.status is SolveStatus.DIVERGED
+        assert abs(sol.x_last[0]) > 1e10
+        assert sol.total_iterations < SolverLimits().max_iter
+
     def test_no_iterations_rejected(self):
         with pytest.raises(ParameterError):
             SolverLimits(max_iter=0)
