@@ -35,7 +35,7 @@ from .nlp import SolverLimits, SolveStatus, check_eps_stationary, solve_nlp
 from .cq import check_mpvc_licq, check_mpvc_mfcq
 from .problems import by_name, counterexamples
 from .regularize import Scheme, direct_nlp, regularize
-from .stationarity import classify, find_multipliers, recover_mpvc_multipliers
+from .stationarity import classify, find_multipliers, grade_at, recover_mpvc_multipliers
 
 BUCKET_RADIUS = 1e-3          # max-norm radius for attractor bucketing
 _DRIVER_KEYS = {f.name for f in fields(DriverConfig)} - {"scheme", "limits"}
@@ -47,6 +47,8 @@ def _load_config(path, problem_name: str) -> dict:
     if path is None:
         return {}
     config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict) or not isinstance(config.get("driver", {}), dict):
+        raise ValueError("the config file and its \"driver\" entry must be JSON objects")
     allowed = {"driver", "aerothermo_constants"} if problem_name == "aerothermo" else {"driver"}
     unknown = set(config) - allowed
     if unknown:
@@ -66,12 +68,15 @@ def _driver_config(scheme: Scheme, overrides: dict) -> DriverConfig:
     fields (numbers; ``eps_inner`` may be null) plus ``max_inner_iter``."""
     kwargs = {}
     for key, value in overrides.items():
-        if key == "max_inner_iter":
-            kwargs["limits"] = SolverLimits(max_iter=int(value))
-        elif key in _DRIVER_KEYS:
-            kwargs[key] = None if value is None and key == "eps_inner" else float(value)
-        else:
-            raise ValueError(f"unknown driver config key {key!r}")
+        try:
+            if key == "max_inner_iter":
+                kwargs["limits"] = SolverLimits(max_iter=int(value))
+            elif key in _DRIVER_KEYS:
+                kwargs[key] = None if value is None and key == "eps_inner" else float(value)
+            else:
+                raise ValueError(f"unknown driver config key {key!r}")
+        except TypeError:
+            raise ValueError(f"driver config key {key!r} needs a number, not {value!r}") from None
     return DriverConfig(scheme=scheme, **kwargs)
 
 
@@ -87,7 +92,7 @@ def run_single(problem, scheme_name: str, driver_overrides: dict, x0):
     file's "driver" keys; returns (result dict, driver trace or None)."""
     if scheme_name == "none":
         sol = solve_nlp(direct_nlp(problem), x0, eps_target=1e-9)
-        x, trace, grade = sol.x, None, _grade_at(problem, sol.x)
+        x, trace, grade = sol.x, None, grade_at(problem, sol.x, 1e-4).label()
         mode = {
             "outer_iterations": 1,
             "inner_iterations": sol.total_iterations,
@@ -105,7 +110,7 @@ def run_single(problem, scheme_name: str, driver_overrides: dict, x0):
             )
             grade = classify(problem, x, mult, tau=1e-4).grade.label()
         else:
-            grade = _grade_at(problem, x)
+            grade = grade_at(problem, x, 1e-4).label()
         mode = {
             "outer_iterations": trace.outer_iterations,
             "inner_iterations": trace.total_inner_iterations,
@@ -122,14 +127,6 @@ def run_single(problem, scheme_name: str, driver_overrides: dict, x0):
         **mode,
     }
     return result, trace
-
-
-def _grade_at(problem, x) -> str:
-    try:
-        mult, _ = find_multipliers(problem, x)
-    except PreconditionError:
-        return "NotWeak"
-    return classify(problem, x, mult, tau=1e-4).grade.label()
 
 
 def bucket_of(problem, x: np.ndarray) -> str:

@@ -1,14 +1,15 @@
 """Pointwise constraint-qualification diagnostics.
 
-The MPVC checks read the columns of ``stationarity.weak_stationarity_table``
-at x, the gradients of the multipliers that weak stationarity lets be
-nonzero.  MPVC-LICQ asks all of them to be linearly independent; MPVC-MFCQ
-asks the sign-constrained columns together with the free ones to be
-positively linearly independent: no vanishing combination with nonnegative
-weights on the first group and arbitrary weights on the second, not all
-zero.
+The MPVC checks read ``stationarity.weak_stationarity_table`` at x and
+select its columns by support code: the gradients of the multipliers that
+weak stationarity lets be nonzero.  MPVC-LICQ asks all of them to be
+linearly independent; MPVC-MFCQ asks the sign-constrained columns (code 2)
+together with the free ones (code 1) to be positively linearly
+independent: no vanishing combination with nonnegative weights on the
+first group and arbitrary weights on the second, not all zero.
 
-LICQ is certified by the smallest singular value of the stacked gradients.
+LICQ is certified by the smallest singular value of the stacked gradients
+(``pli_probe`` with every vector free; 0 when they outnumber the dimension).
 Positive linear independence is certified in two parts: the free vectors
 must have full column rank, and no nonzero nonnegative combination of the
 sign-constrained vectors may lie in the span of the free ones.  The second
@@ -45,18 +46,6 @@ class CqReport:
         }
 
 
-def _licq_certificate(rows: list, n: int, tau_rank: float) -> tuple[bool, float]:
-    if not rows:
-        return True, np.inf
-    M = np.array(rows)
-    if M.shape[0] > n:
-        return False, 0.0
-    s = np.linalg.svd(M, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    smin = s[-1] if s.size else 0.0
-    return smin > tau_rank * (smax + 1.0), float(smin)
-
-
 def pli_probe(signed: list, free: list, tau: float = 1e-8) -> tuple[bool, float]:
     """Positive linear independence of signed (weights >= 0) and free vectors.
 
@@ -69,17 +58,16 @@ def pli_probe(signed: list, free: list, tau: float = 1e-8) -> tuple[bool, float]
     cert = np.inf
     if free:
         F = np.array(free).T                       # n x q
-        s = np.linalg.svd(F, compute_uv=False)
-        smax = s[0] if s.size else 0.0
-        smin = s[-1] if s.size else 0.0
-        if F.shape[1] > F.shape[0] or smin <= tau * (smax + 1.0):
-            return False, float(smin)
-        cert = float(smin)
+        if F.shape[1] > F.shape[0]:
+            return False, 0.0
+        s = np.linalg.svd(F.T, compute_uv=False)
+        cert = float(s[-1])
+        if cert <= tau * (s[0] + 1.0):
+            return False, cert
     if not signed:
         return True, cert
     A = np.array(signed).T                          # n x k
     if free:
-        F = np.array(free).T
         # projection onto the orthogonal complement of span(F)
         Q, _ = np.linalg.qr(F)
         P = np.eye(A.shape[0]) - Q @ Q.T
@@ -108,8 +96,8 @@ def check_mpvc_licq(
 ) -> CqReport:
     """MPVC-LICQ via the smallest singular value of the table's columns."""
     x = problem.check_point(x)
-    table = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
-    holds, cert = _licq_certificate([col for col, _, _ in table], problem.n, tau_rank)
+    A, kind = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
+    holds, cert = pli_probe([], list(A.T[kind > 0]), tau_rank)
     return CqReport("MPVC-LICQ", holds, cert, tau_rank)
 
 
@@ -121,10 +109,8 @@ def check_mpvc_mfcq(
 ) -> CqReport:
     """MPVC-MFCQ via the positive-linear-independence probe."""
     x = problem.check_point(x)
-    table = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
-    signed = [col for col, s, _ in table if s]
-    free = [col for col, s, _ in table if not s]
-    holds, cert = pli_probe(signed, free, tau)
+    A, kind = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
+    holds, cert = pli_probe(list(A.T[kind == 2]), list(A.T[kind == 1]), tau)
     return CqReport("MPVC-MFCQ", holds, cert, tau)
 
 
@@ -134,7 +120,7 @@ def check_licq(nlp: Nlp, x: np.ndarray, tau_act: float = 1e-8, tau_rank: float =
     _, Jh = nlp.eq(x)
     rows = [Jg[i] for i in range(nlp.n_ineq) if g_vals[i] >= -tau_act]
     rows += list(Jh)
-    holds, cert = _licq_certificate(rows, nlp.n, tau_rank)
+    holds, cert = pli_probe([], rows, tau_rank)
     return CqReport("LICQ", holds, cert, tau_rank)
 
 

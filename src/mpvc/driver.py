@@ -36,10 +36,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError
 from .model import MpvcProblem, full_violation, max_vio
 from .nlp import NlpSolution, SolverLimits, SolveStatus, solve_nlp
 from .regularize import Scheme, regularize
+from .stationarity import Grade, grade_at
 
 
 class StopReason(Enum):
@@ -79,7 +80,6 @@ class DriverConfig:
 class TraceRecord:
     k: int
     t: float
-    x: np.ndarray
     f: float
     max_vio: float
     full_vio: float
@@ -139,20 +139,6 @@ class DriverResult:
     last_t: Optional[float] = None
 
 
-def _start_is_stationary(problem: MpvcProblem, x: np.ndarray, tol: float) -> bool:
-    """Feasible and weakly stationary: nothing for the loop to do."""
-    # imported per call so that wrappers set on the module later see it
-    from .stationarity import Grade, classify, find_multipliers
-
-    if full_violation(problem, x) > tol:
-        return False
-    try:
-        mult, _ = find_multipliers(problem, x)
-    except PreconditionError:
-        return False
-    return classify(problem, x, mult, tau=1e-6).grade >= Grade.WEAK
-
-
 def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> DriverResult:
     """Run the regularization loop on ``problem`` from ``x0``."""
     x = problem.check_point(np.asarray(x0, dtype=float)).copy()
@@ -163,7 +149,10 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
     mu_warm = None
     last_sol: Optional[NlpSolution] = None
     last_t: Optional[float] = None
-    skip_all = _start_is_stationary(problem, x, config.tol)
+    # feasible and weakly stationary: nothing for the loop to do
+    skip_all = (
+        full_violation(problem, x) <= config.tol and grade_at(problem, x, 1e-6) >= Grade.WEAK
+    )
     last_failed = False
 
     # The feasibility exit applies to iterates the inner solver actually
@@ -192,7 +181,6 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
             TraceRecord(
                 k=k,
                 t=t,
-                x=x.copy(),
                 f=float(f_val),
                 max_vio=max_vio(problem, x),
                 full_vio=full_violation(problem, x),

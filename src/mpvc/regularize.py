@@ -41,11 +41,10 @@ class RowProvenance:
 
     ``rows_g``, ``rows_neg_H`` and ``rows_kernel`` index into the inequality
     block and partition it exactly; ``rows_neg_H[i]`` is the row -H_i <= 0
-    and ``rows_kernel[i]`` the regularized row of pair i.
+    and ``rows_kernel[i]`` the regularized row of pair i.  ``t`` is the
+    regularization parameter (0 for the direct baseline).
     """
 
-    problem: MpvcProblem
-    scheme: Optional[Scheme]
     t: float
     rows_g: np.ndarray
     rows_neg_H: np.ndarray
@@ -63,7 +62,6 @@ class Nlp:
     n_ineq: int
     n_eq: int
     provenance: Optional[RowProvenance] = None
-    name: str = "nlp"
 
 
 def theta(s: float) -> float:
@@ -186,13 +184,7 @@ def kernel_rows(
     return vals, c_G, c_H
 
 
-def _assemble(
-    problem: MpvcProblem,
-    scheme: Optional[Scheme],
-    t: float,
-    kernel: Kernel,
-    name: str,
-) -> Nlp:
+def _assemble(problem: MpvcProblem, t: float, kernel: Kernel) -> Nlp:
     m, l, n = problem.m, problem.l, problem.n
     n_ineq = m + 2 * l
 
@@ -211,8 +203,6 @@ def _assemble(
         return vals, jac
 
     prov = RowProvenance(
-        problem=problem,
-        scheme=scheme,
         t=t,
         rows_g=np.arange(m),
         rows_neg_H=m + np.arange(l),
@@ -226,7 +216,6 @@ def _assemble(
         n_ineq=n_ineq,
         n_eq=problem.p,
         provenance=prov,
-        name=name,
     )
 
 
@@ -237,9 +226,7 @@ def regularize(problem: MpvcProblem, scheme: Scheme, t: float) -> Nlp:
     pair; equalities are passed through unchanged.
     """
     _check_t(t)
-    return _assemble(
-        problem, scheme, t, KERNELS[scheme], name=f"{problem.name}:{scheme.value}(t={t:g})"
-    )
+    return _assemble(problem, t, KERNELS[scheme])
 
 
 def direct_nlp(problem: MpvcProblem) -> Nlp:
@@ -248,4 +235,4 @@ def direct_nlp(problem: MpvcProblem) -> Nlp:
     This is the no-regularization baseline: the product constraints are
     handed to the inner solver unchanged (t = 0 in the provenance).
     """
-    return _assemble(problem, None, 0.0, kernel_direct, name=f"{problem.name}:direct")
+    return _assemble(problem, 0.0, kernel_direct)

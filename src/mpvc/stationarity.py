@@ -15,14 +15,15 @@ The grades tighten only on the biactive set I_00:
     T:  etaG_i etaH_i <= 0      M:  etaG_i etaH_i = 0
     S:  etaH_i >= 0 and etaG_i = 0.
 
+``weak_stationarity_table`` states the equation and the support and sign
+rules above once, as a matrix and one support code per multiplier; every
+function below and the MPVC-LICQ / MPVC-MFCQ checks in ``cq`` read them.
 ``recover_mpvc_multipliers`` maps the multipliers (nu, delta) of a solved
 regularized problem back to MPVC multipliers through the kernel gradient
-coefficients (c_G, c_H), plus an index-set mask for GLOBAL; ``classify``
-grades any multiplier set; and ``find_multipliers`` fits multipliers
-directly by sign-constrained linear least squares when none are available
-(e.g. for the direct baseline).  ``weak_stationarity_table`` states the
-support and signs above once, as gradient-equation columns; the fit and
-the MPVC-LICQ / MPVC-MFCQ checks in ``cq`` all read it.
+coefficients (c_G, c_H), masked for GLOBAL where the support codes hold a
+multiplier at zero; ``classify`` grades any multiplier set; and
+``find_multipliers`` fits multipliers directly by sign-constrained linear
+least squares when none are available (e.g. for the direct baseline).
 """
 from __future__ import annotations
 
@@ -102,9 +103,10 @@ def recover_mpvc_multipliers(
         etaG_i = delta_i c_G,i,    etaH_i = nu_i - delta_i c_H,i,
 
     under which the regularized stationarity equation is the
-    weak-stationarity equation.  GLOBAL then applies the index-set mask of
-    its convergence theory (index sets banded with tau_act at sol.x):
-    etaG_i = 0 off I_00 u I_+0, and etaH_i = nu_i on I_+.
+    weak-stationarity equation.  GLOBAL then applies the mask of its
+    convergence theory (index sets banded with tau_act at sol.x): wherever
+    weak stationarity holds a multiplier at zero, etaG_i = 0 and
+    etaH_i = nu_i.
 
     lam and mu pass through unchanged.
     """
@@ -119,32 +121,50 @@ def recover_mpvc_multipliers(
     eta_G = delta * c_G
     eta_H = nu - delta * c_H
     if scheme is Scheme.GLOBAL:
-        ix = index_sets(problem, sol.x, tau_act)
-        eta_G[sorted(ix.I_plusminus | ix.I_0plus | ix.I_0minus)] = 0.0
-        plus = sorted(ix.I_plus)
-        eta_H[plus] = nu[plus]
+        kind = _support_codes(problem, index_sets(problem, sol.x, tau_act))
+        held = kind[problem.m + problem.p :] == 0           # [etaH; etaG]
+        np.copyto(eta_H, nu, where=held[: problem.l])
+        eta_G[held[problem.l :]] = 0.0
     return MpvcMultipliers(
         lam=sol.lam[prov.rows_g], mu=sol.mu.copy(), eta_H=eta_H, eta_G=eta_G
     )
 
 
-def _gradient_equation_residual(
-    problem: MpvcProblem, x: np.ndarray, mult: MpvcMultipliers
-) -> np.ndarray:
-    _, grad_f = problem.f(x)
-    r = grad_f.copy()
-    if problem.m:
-        _, Jg = problem.g(x)
-        r += Jg.T @ mult.lam
-    if problem.p:
-        _, Jh = problem.h(x)
-        r += Jh.T @ mult.mu
-    if problem.l:
-        _, JH = problem.H(x)
-        _, JG = problem.G(x)
-        r -= JH.T @ mult.eta_H
-        r += JG.T @ mult.eta_G
-    return r
+def _support_codes(problem: MpvcProblem, ix: IndexSets) -> np.ndarray:
+    """The support code of each entry of z = [lam; mu; etaH; etaG] under
+    the weak-stationarity rules: 0 held at zero, 1 free, 2 nonnegative."""
+    m, p, l = problem.m, problem.p, problem.l
+    codes = [0] * (m + p + 2 * l)
+    codes[m : m + p] = [1] * p                  # mu free
+    for i in ix.I_g:                            # lam >= 0 on active g
+        codes[i] = 2
+    # (etaH_i, etaG_i) on each index set; both held at zero on I_+-
+    for pairs, c_H, c_G in (
+        (ix.I_plus0, 0, 2), (ix.I_0plus, 1, 0), (ix.I_00, 1, 2), (ix.I_0minus, 2, 0)
+    ):
+        for i in pairs:
+            codes[m + p + i], codes[m + p + l + i] = c_H, c_G
+    return np.array(codes, dtype=int)
+
+
+def weak_stationarity_table(
+    problem: MpvcProblem, x: np.ndarray, ix: IndexSets
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weak stationarity at x as ``(A, kind)`` over z = [lam; mu; etaH; etaG].
+
+    ``grad f + A @ z`` is the gradient-equation residual (column -grad H_i
+    for etaH_i), and ``kind`` holds the support code of each entry of z:
+    0 held at zero, 1 free, 2 nonnegative.
+    """
+    m, p, l = problem.m, problem.p, problem.l
+    At = np.empty((m + p + 2 * l, problem.n))      # row j is column j of A
+    if m:
+        At[:m] = problem.g(x)[1]
+    if p:
+        At[m : m + p] = problem.h(x)[1]
+    np.negative(problem.H(x)[1], out=At[m + p : m + p + l])
+    At[m + p + l :] = problem.G(x)[1]
+    return At.T, _support_codes(problem, ix)
 
 
 def classify(
@@ -164,30 +184,17 @@ def classify(
         raise PreconditionError("tau must be positive")
     x = problem.check_point(x)
     _, grad_f = problem.f(x)
-    scale = float(np.max(np.abs(grad_f))) if grad_f.size else 0.0
+    scale = float(np.abs(grad_f).max()) if grad_f.size else 0.0
     tau_eff = tau * (1.0 + scale)
     ix = index_sets(problem, x, tau_eff)
 
-    resid = _gradient_equation_residual(problem, x, mult)
-    stat = float(np.max(np.abs(resid))) if resid.size else 0.0
-
-    support = 0.0
-    for i in range(problem.m):
-        if i not in ix.I_g:
-            support = max(support, abs(mult.lam[i]))
-    for i in ix.I_plus:
-        support = max(support, abs(mult.eta_H[i]))
-    for i in ix.I_plusminus | ix.I_0minus | ix.I_0plus:
-        support = max(support, abs(mult.eta_G[i]))
-
-    sign = 0.0
-    for i in ix.I_g:
-        sign = max(sign, -mult.lam[i])
-    for i in ix.I_0minus:
-        sign = max(sign, -mult.eta_H[i])
-    for i in ix.I_plus0 | ix.I_00:
-        sign = max(sign, -mult.eta_G[i])
-    sign = max(0.0, sign)
+    A, kind = weak_stationarity_table(problem, x, ix)
+    z = mult.lam.tolist() + mult.mu.tolist() + mult.eta_H.tolist() + mult.eta_G.tolist()
+    resid = grad_f + A @ z
+    stat = float(np.abs(resid).max()) if resid.size else 0.0
+    codes = kind.tolist()
+    support = max([0.0] + [abs(v) for v, c in zip(z, codes) if c == 0])
+    sign = max([0.0] + [-v for v, c in zip(z, codes) if c == 2])
 
     products = [float(mult.eta_G[i] * mult.eta_H[i]) for i in sorted(ix.I_00)]
 
@@ -213,30 +220,6 @@ def classify(
     )
 
 
-def weak_stationarity_table(problem: MpvcProblem, x: np.ndarray, ix: IndexSets) -> list:
-    """The multipliers that weak stationarity lets be nonzero at x.
-
-    One entry ``(column, signed, (field, index))`` per multiplier, with
-    ``column`` its coefficient vector in the gradient equation
-    grad f + sum value * column = 0 and ``signed`` whether it must be
-    nonnegative.  In order: lam on I_g (signed), every mu, etaH on I_0
-    (column -grad H_i, signed on I_0-), etaG on I_+0 u I_00 (signed).
-    """
-    table = []
-    if problem.m:
-        _, Jg = problem.g(x)
-        table += [(Jg[i], True, ("lam", i)) for i in sorted(ix.I_g)]
-    if problem.p:
-        _, Jh = problem.h(x)
-        table += [(Jh[i], False, ("mu", i)) for i in range(problem.p)]
-    if problem.l:
-        _, JH = problem.H(x)
-        _, JG = problem.G(x)
-        table += [(-JH[i], i in ix.I_0minus, ("eta_H", i)) for i in sorted(ix.I_0)]
-        table += [(JG[i], True, ("eta_G", i)) for i in sorted(ix.I_plus0 | ix.I_00)]
-    return table
-
-
 def find_multipliers(
     problem: MpvcProblem,
     x: np.ndarray,
@@ -244,39 +227,43 @@ def find_multipliers(
 ) -> tuple[MpvcMultipliers, float]:
     """Fit weak-stationarity multipliers at x by least squares.
 
-    Minimizes the 2-norm of the gradient equation residual over the
-    entries of ``weak_stationarity_table`` (index sets banded with tau_act)
-    subject to their sign constraints; every other multiplier is 0.
-    Returns the fitted multipliers and the inf-norm of the remaining
-    residual.  Requires x approximately feasible (full_violation <= 1e-4).
+    Minimizes the 2-norm of the gradient-equation residual over the entries
+    of z that ``weak_stationarity_table`` does not hold at zero (index sets
+    banded with tau_act), subject to their sign constraints; every other
+    multiplier is 0.  Returns the fitted multipliers and the inf-norm of
+    the remaining residual.  Requires x approximately feasible
+    (full_violation <= 1e-4).
     """
     x = problem.check_point(x)
     if full_violation(problem, x) > 1e-4:
         raise PreconditionError("find_multipliers needs an approximately feasible point")
     _, grad_f = problem.f(x)
-    table = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
-
+    A, kind = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
+    z = np.zeros(kind.size)
+    resid = grad_f
+    fit = kind.nonzero()[0]
+    if fit.size:
+        Af = A[:, fit]                                   # n x k
+        k = fit.size
+        Bq = Af.T @ Af + 1e-12 * (1.0 + np.trace(Af.T @ Af)) * np.eye(k)
+        signed = (kind[fit] == 2).nonzero()[0]
+        A_in = np.zeros((signed.size, k))
+        A_in[np.arange(signed.size), signed] = -1.0
+        res = solve_qp(Bq, Af.T @ grad_f, np.zeros((0, k)), np.zeros(0), A_in,
+                       np.zeros(signed.size), x0=np.zeros(k))
+        z[fit] = res.x
+        resid = grad_f + A @ z
+    m, p, l = problem.m, problem.p, problem.l
     mult = MpvcMultipliers(
-        lam=np.zeros(problem.m),
-        mu=np.zeros(problem.p),
-        eta_H=np.zeros(problem.l),
-        eta_G=np.zeros(problem.l),
+        lam=z[:m], mu=z[m : m + p], eta_H=z[m + p : m + p + l], eta_G=z[m + p + l :]
     )
-    if not table:
-        resid = float(np.max(np.abs(grad_f))) if grad_f.size else 0.0
-        return mult, resid
+    return mult, float(np.abs(resid).max()) if resid.size else 0.0
 
-    A = np.array([col for col, _, _ in table]).T      # n x k
-    k = A.shape[1]
-    Bq = A.T @ A + 1e-12 * (1.0 + np.trace(A.T @ A)) * np.eye(k)
-    cq = A.T @ grad_f
-    rows = [j for j, (_, signed, _) in enumerate(table) if signed]
-    A_in = np.zeros((len(rows), k))
-    A_in[range(len(rows)), rows] = -1.0
-    res = solve_qp(Bq, cq, np.zeros((0, k)), np.zeros(0), A_in, np.zeros(len(rows)),
-                   x0=np.zeros(k))
-    z = res.x
-    for val, (_, _, (kind, i)) in zip(z, table):
-        getattr(mult, kind)[i] = val
-    resid_vec = A @ z + grad_f
-    return mult, float(np.max(np.abs(resid_vec)))
+
+def grade_at(problem: MpvcProblem, x: np.ndarray, tau: float) -> Grade:
+    """The grade of x under fitted multipliers; NotWeak where no fit exists."""
+    try:
+        mult, _ = find_multipliers(problem, x)
+    except PreconditionError:
+        return Grade.NOT_WEAK
+    return classify(problem, x, mult, tau=tau).grade

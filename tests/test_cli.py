@@ -80,7 +80,8 @@ def test_config_sigma_shrinks_t(tmp_path):
     assert all(b == 0.5 * a for a, b in zip(ts, ts[1:]))
 
 
-@pytest.mark.parametrize("driver", [{"sigmma": 0.5}, {"max_inner_iter": 0}, {"sigma": "abc"}])
+@pytest.mark.parametrize("driver", [{"sigmma": 0.5}, {"max_inner_iter": 0}, {"sigma": "abc"},
+                                    {"t0": None}, 3])
 def test_bad_driver_config_is_usage_error(tmp_path, driver):
     code = run([
         "solve", "--problem", "academic", "--scheme", "global", "--x0", "10,10",
@@ -94,8 +95,9 @@ def test_bad_driver_config_is_usage_error(tmp_path, driver):
     (["solve", "--x0", "10,10"], {"aerothermo_constants": {"K_e": 1e-3}}),
     (["grid", "--grid", "0,1,2,0,1,2"], {"driver": {"sigmma": 0.5}}),
     (["grid", "--problem", "ten_bar", "--grid", "0,1,2,0,1,2"], {}),
+    (["solve", "--x0", "10,10"], ["driver"]),
 ], ids=["unknown-top-level-key", "constants-off-aerothermo", "grid-unknown-driver-key",
-        "grid-ten-bar"])
+        "grid-ten-bar", "config-not-an-object"])
 def test_usage_error(tmp_path, args, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -72,6 +72,11 @@ class TestMpvcMfcq:
         report = check_mpvc_mfcq(academic(), np.array([0.0, 5.0]))
         assert report.holds
 
+    def test_more_free_vectors_than_dimensions(self):
+        # three vectors in R^2 are dependent: certificate 0, as for LICQ
+        e1, e2 = np.eye(2)
+        assert pli_probe([], [e1, e2, e1 + e2]) == (False, 0.0)
+
     def test_licq_implies_mfcq_sampled(self):
         prob = academic()
         rng = np.random.default_rng(9)

@@ -13,7 +13,6 @@ from mpvc.regularize import Scheme, regularize
 from mpvc.stationarity import (
     Grade,
     MpvcMultipliers,
-    _gradient_equation_residual,
     classify,
     find_multipliers,
     recover_mpvc_multipliers,
@@ -91,7 +90,8 @@ class TestRecovery:
             grad_L = grad_f + J_in.T @ lam + J_eq.T @ mu
             terms = np.abs(grad_f) + np.abs(J_in.T) @ lam + np.abs(J_eq.T) @ np.abs(mu)
             scale = 1.0 + np.max(terms)
-            resid = _gradient_equation_residual(prob, x, mult)
+            A, _ = weak_stationarity_table(prob, x, index_sets(prob, x))
+            resid = grad_f + A @ np.concatenate((mult.lam, mult.mu, mult.eta_H, mult.eta_G))
             assert np.max(np.abs(resid - grad_L)) <= 1e-12 * scale, (prob.name, x, t)
             np.testing.assert_array_equal(mult.lam, lam[nlp.provenance.rows_g])
             np.testing.assert_array_equal(mult.mu, mu)
@@ -241,32 +241,67 @@ class TestWeakStationarityTable:
             + [("eta_G", i) for i in sorted(ix.I_plusminus | ix.I_0plus | ix.I_0minus)]
         )
 
+    @staticmethod
+    def signed_slots(prob, ix):
+        """The slots weak stationarity asks to be nonnegative."""
+        return (
+            [("lam", i) for i in sorted(ix.I_g)]
+            + [("eta_H", i) for i in sorted(ix.I_0minus)]
+            + [("eta_G", i) for i in sorted(ix.I_plus0 | ix.I_00)]
+        )
+
+    @staticmethod
+    def position(prob, slot):
+        """The entry of z = [lam; mu; eta_H; eta_G] that holds a slot."""
+        kind, i = slot
+        offset = {"lam": 0, "mu": prob.m, "eta_H": prob.m + prob.p,
+                  "eta_G": prob.m + prob.p + prob.l}
+        return offset[kind] + i
+
     def test_columns_and_slots(self):
         rng = np.random.default_rng(5)
         for (prob, x), tau_act in itertools.product(self.points(3), (1e-8, 0.5, 3.0)):
             ix = index_sets(prob, x, tau_act)
-            table = weak_stationarity_table(prob, x, ix)
-            slots = [slot for _, _, slot in table]
-            assert len(set(slots)) == len(slots)
-            signed = {slot for _, s, slot in table if s}
-            assert signed == {
-                (kind, i) for kind, i in slots
-                if kind in ("lam", "eta_G") or (kind == "eta_H" and i in ix.I_0minus)
-            }
-            z = rng.normal(size=len(table))
+            A, kind = weak_stationarity_table(prob, x, ix)
+            k = prob.m + prob.p + 2 * prob.l
+            assert A.shape == (prob.n, k) and kind.shape == (k,)
+            held = {self.position(prob, slot) for slot in self.off_table(prob, ix)}
+            signed = {self.position(prob, slot) for slot in self.signed_slots(prob, ix)}
+            assert not held & signed
+            assert kind.tolist() == [
+                0 if j in held else 2 if j in signed else 1 for j in range(k)
+            ]
+            z = rng.normal(size=k)
             mult = MpvcMultipliers(
-                lam=np.zeros(prob.m), mu=np.zeros(prob.p),
-                eta_H=np.zeros(prob.l), eta_G=np.zeros(prob.l),
+                lam=z[:prob.m], mu=z[prob.m:prob.m + prob.p],
+                eta_H=z[prob.m + prob.p:prob.m + prob.p + prob.l],
+                eta_G=z[prob.m + prob.p + prob.l:],
             )
-            for val, (_, _, (kind, i)) in zip(z, table):
-                getattr(mult, kind)[i] = val
             _, grad_f = prob.f(x)
-            combo = sum((val * col for val, (col, _, _) in zip(z, table)), np.zeros(prob.n))
-            scale = 1.0 + sum(abs(val) * np.max(np.abs(col)) for val, (col, _, _) in zip(z, table))
-            resid = _gradient_equation_residual(prob, x, mult) - grad_f
-            assert np.max(np.abs(resid - combo)) <= 1e-12 * scale
-            for kind, i in self.off_table(prob, ix):
-                assert (kind, i) not in slots and getattr(mult, kind)[i] == 0.0
+            _, Jg = prob.g(x)
+            _, Jh = prob.h(x)
+            _, JH = prob.H(x)
+            _, JG = prob.G(x)
+            written = (grad_f + Jg.T @ mult.lam + Jh.T @ mult.mu
+                       - JH.T @ mult.eta_H + JG.T @ mult.eta_G)
+            scale = 1.0 + np.max(np.abs(grad_f) + np.abs(A) @ np.abs(z))
+            assert np.max(np.abs(grad_f + A @ z - written)) <= 1e-12 * scale
+
+    def test_classify_support_and_sign_violations(self):
+        # classify's worst support and sign violations are the index-set
+        # statement, on the index sets banded with its tau_eff
+        rng = np.random.default_rng(6)
+        for prob, x in self.points(7):
+            mult = MpvcMultipliers(
+                lam=rng.normal(size=prob.m), mu=rng.normal(size=prob.p),
+                eta_H=rng.normal(size=prob.l), eta_G=rng.normal(size=prob.l),
+            )
+            rep = classify(prob, x, mult, tau=float(10.0 ** rng.uniform(-8.0, 0.0)))
+            ix = index_sets(prob, x, rep.tau)
+            support = [abs(getattr(mult, kind)[i]) for kind, i in self.off_table(prob, ix)]
+            sign = [-getattr(mult, kind)[i] for kind, i in self.signed_slots(prob, ix)]
+            assert rep.worst_support_violation == max(support, default=0.0)
+            assert rep.worst_sign_violation == max(sign + [0.0])
 
     def test_fit_is_zero_off_table(self):
         checked = 0
