@@ -59,7 +59,7 @@ def _load_config(path, problem_name: str) -> dict:
 def _problem_from_args(args, config: dict):
     if args.problem != "aerothermo":
         return by_name(args.problem)
-    kwargs = {"N": args.nodes} if args.nodes else {}
+    kwargs = {"N": args.nodes} if args.nodes is not None else {}
     return by_name("aerothermo", constants=config.get("aerothermo_constants"), **kwargs)
 
 
@@ -313,6 +313,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.nodes is not None and args.problem != "aerothermo":
+            raise ValueError("--nodes needs --problem aerothermo")
         return args.func(args, _load_config(args.config, args.problem))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

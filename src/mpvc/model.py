@@ -186,7 +186,7 @@ def max_vio(problem: MpvcProblem, x: np.ndarray) -> float:
         return 0.0
     Gv, _ = problem.G(x)
     Hv, _ = problem.H(x)
-    return float(np.max(Gv * Hv))
+    return float((Gv * Hv).max())
 
 
 def full_violation(problem: MpvcProblem, x: np.ndarray) -> float:
@@ -199,13 +199,13 @@ def full_violation(problem: MpvcProblem, x: np.ndarray) -> float:
     worst = 0.0
     gv, _ = problem.g(x)
     if gv.size:
-        worst = max(worst, float(np.max(gv)))
+        worst = max(worst, float(gv.max()))
     hv, _ = problem.h(x)
     if hv.size:
-        worst = max(worst, float(np.max(np.abs(hv))))
+        worst = max(worst, float(abs(hv).max()))
     if problem.l:
         Gv, _ = problem.G(x)
         Hv, _ = problem.H(x)
-        worst = max(worst, float(np.max(-Hv)))
-        worst = max(worst, float(np.max(Gv * Hv)))
+        worst = max(worst, float((-Hv).max()))
+        worst = max(worst, float((Gv * Hv).max()))
     return worst

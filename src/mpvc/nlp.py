@@ -17,6 +17,7 @@ Converged result is a certificate that ``check_eps_stationary`` accepts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -183,7 +184,7 @@ def solve_nlp(
     g_vals, Jg = nlp.ineq(x)
     h_vals, Jh = nlp.eq(x)
     if not (
-        np.isfinite(f)
+        math.isfinite(f)
         and np.isfinite(grad_f).all()
         and np.isfinite(g_vals).all()
         and np.isfinite(h_vals).all()
@@ -208,9 +209,8 @@ def solve_nlp(
     status = SolveStatus.ITER_LIMIT
     it = 0
     stall_count = 0
+    viol0 = _l1_violation(g_vals, h_vals)
     viol_hist: list = []
-    prev_viol = None
-    prev_f = None
     elastic_mode = False
 
     while it < limits.max_iter:
@@ -280,12 +280,13 @@ def solve_nlp(
         # linearization's region of validity by orders of magnitude, which
         # forces tiny line-search steps; scaling d preserves the l1-merit
         # descent property (the linearized violation is convex along d).
-        move_cap = max(1.0, 0.2 * (1.0 + float(abs(x).max())))
+        # The cap is at least 1, so max|x| is needed only for longer steps.
         d_norm = float(abs(d).max()) if d.size else 0.0
-        if d_norm > move_cap:
-            d = d * (move_cap / d_norm)
+        if d_norm > 1.0:
+            move_cap = max(1.0, 0.2 * (1.0 + float(abs(x).max())))
+            if d_norm > move_cap:
+                d = d * (move_cap / d_norm)
 
-        viol0 = _l1_violation(g_vals, h_vals)
         viol_lin = _l1_violation(g_vals + Jg @ d, h_vals + Jh @ d)
         descent = float(grad_f @ d) - rho * (viol0 - viol_lin)
         if descent > -1e-14 * (1.0 + abs(f)) and viol0 - viol_lin > 1e-14 * (1.0 + viol0):
@@ -304,11 +305,13 @@ def solve_nlp(
                 g_t, Jg_t = nlp.ineq(x_t)
                 h_t, Jh_t = nlp.eq(x_t)
                 ok = (
-                    np.isfinite(f_t)
+                    math.isfinite(f_t)
                     and np.isfinite(g_t).all()
                     and np.isfinite(h_t).all()
                 )
-                if ok and f_t + rho * _l1_violation(g_t, h_t) <= phi0 + 1e-4 * alpha * descent:
+                if ok and f_t + rho * (viol_new := _l1_violation(g_t, h_t)) <= (
+                    phi0 + 1e-4 * alpha * descent
+                ):
                     accepted = True
                     break
                 if alpha == 1.0 and not soc_tried:
@@ -346,14 +349,13 @@ def solve_nlp(
         # many accepted steps: the iterates sit at a stationary point of
         # the infeasibility (e.g. the linearizations are inconsistent and
         # elastic steps have stalled), and grinding to the iteration cap
-        # would only burn time.
-        viol_new = _l1_violation(g_t, h_t)
+        # would only burn time.  viol_hist is empty before the first step.
         viol_stuck = (
             viol_new > max(10.0 * eps_target, 1e-10)
-            and prev_viol is not None
-            and viol_new > prev_viol - 1e-8 * (1.0 + prev_viol)
+            and viol_hist
+            and viol_new > viol0 - 1e-8 * (1.0 + viol0)
         )
-        if viol_stuck and f_t > prev_f - 1e-10 * (1.0 + abs(prev_f)):
+        if viol_stuck and f_t > f - 1e-10 * (1.0 + abs(f)):
             stall_count += 1
         else:
             stall_count = 0
@@ -366,7 +368,6 @@ def solve_nlp(
             and viol_new > max(10.0 * eps_target, 1e-10)
             and viol_new > 0.9 * viol_hist[-31]
         )
-        prev_viol, prev_f = viol_new, f_t
 
         # Damped BFGS on the Lagrangian; reset on lost curvature or
         # runaway entries.  Heavily truncated steps are skipped: with the
@@ -374,7 +375,7 @@ def solve_nlp(
         # usable curvature (one such pair can poison the metric).
         if alpha >= 0.2:
             s = alpha * step_vec
-            y = (grad_t - grad_f).copy()
+            y = grad_t - grad_f
             if lam.size:
                 y += (Jg_t - Jg).T @ lam
             if mu.size:
@@ -394,13 +395,13 @@ def solve_nlp(
                     theta_d = 0.8 * sBs / (sBs - sy)
                     y = theta_d * y + (1.0 - theta_d) * (B @ s)
                     sy = float(s @ y)
-            ns = float(np.linalg.norm(s))
-            ny = float(np.linalg.norm(y))
+            ns = math.sqrt(s.dot(s))
+            ny = math.sqrt(y.dot(y))
             if sy > 1e-8 * max(1e-12, ns * ny) and sBs > 0:
                 Bs = B @ s
-                B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
+                B = B - Bs[:, None] * Bs / sBs + y[:, None] * y / sy
                 B = 0.5 * (B + B.T)
-            if not np.isfinite(B).all() or float(abs(B).max()) > 1e10:
+            if not abs(B).max() <= 1e10:         # also true on NaN and inf
                 reset = True
             else:
                 try:
@@ -408,7 +409,7 @@ def solve_nlp(
                 except np.linalg.LinAlgError:
                     reset = True
 
-        x, f, grad_f = x_t, f_t, grad_t
+        x, f, grad_f, viol0 = x_t, f_t, grad_t, viol_new
         g_vals, Jg = g_t, Jg_t
         h_vals, Jh = h_t, Jh_t
         if stall_count >= 12 or windowed_stall:

@@ -68,9 +68,13 @@ def _eqp(B: np.ndarray, c: np.ndarray, C: np.ndarray, d: np.ndarray):
         sol = np.linalg.solve(kkt, rhs)
         x, y = sol[:n], sol[n:]
         if np.isfinite(sol).all():
+            # scale >= 1: a residual within 1e-9 needs no scale
+            resid = abs(C @ x - d).max()
+            if resid <= 1e-9:
+                return x, y
             scale = 1.0 + float(abs(d).max()) if d.size else 1.0
             scale += float(abs(x).max()) * float(abs(C).max()) if C.size else 0.0
-            if abs(C @ x - d).max() <= 1e-9 * scale:
+            if resid <= 1e-9 * scale:
                 return x, y
     except np.linalg.LinAlgError:
         pass
@@ -149,8 +153,8 @@ def solve_qp(
     eq_tol = 1e-7 * scale
     # Subproblem rows are gathered from one stacked copy: the equalities,
     # then the inequality rows of the working set, in working-set order.
-    A_all = np.vstack([A_eq, A_in])
-    b_all = np.concatenate([b_eq, b_in])
+    # Without equalities that is A_in itself (rebound below, never written).
+    A_all, b_all = (np.vstack([A_eq, A_in]), np.concatenate([b_eq, b_in])) if p else (A_in, b_in)
     eq_rows = list(range(p))
     if nb:
         # The bounds are rows of the feasibility checks, the ratio tests and
@@ -209,13 +213,14 @@ def solve_qp(
         x_new, y = eqp or _eqp_w(B, c, A_all, b_all, eq_rows, W, nb)
         eqp = None
         lam_W = y[p:]
-        if abs(x_new - x).max() <= 1e-10 * (1.0 + abs(x).max()):
+        delta = x_new - x
+        step = abs(delta).max()
+        if step <= 1e-10 or step <= 1e-10 * (1.0 + abs(x).max()):
             if lam_W.size == 0 or lam_W.min() >= -1e-9:
                 x, status = x_new, "optimal"
                 break
             W.pop(int(lam_W.argmin()))
             continue
-        delta = x_new - x
         alpha = 1.0
         blocker = -1
         if m:

@@ -184,14 +184,14 @@ def classify(
         raise PreconditionError("tau must be positive")
     x = problem.check_point(x)
     _, grad_f = problem.f(x)
-    scale = float(np.abs(grad_f).max()) if grad_f.size else 0.0
+    scale = float(abs(grad_f).max()) if grad_f.size else 0.0
     tau_eff = tau * (1.0 + scale)
     ix = index_sets(problem, x, tau_eff)
 
     A, kind = weak_stationarity_table(problem, x, ix)
     z = mult.lam.tolist() + mult.mu.tolist() + mult.eta_H.tolist() + mult.eta_G.tolist()
     resid = grad_f + A @ z
-    stat = float(np.abs(resid).max()) if resid.size else 0.0
+    stat = float(abs(resid).max()) if resid.size else 0.0
     codes = kind.tolist()
     support = max([0.0] + [abs(v) for v, c in zip(z, codes) if c == 0])
     sign = max([0.0] + [-v for v, c in zip(z, codes) if c == 2])
@@ -245,7 +245,8 @@ def find_multipliers(
     if fit.size:
         Af = A[:, fit]                                   # n x k
         k = fit.size
-        Bq = Af.T @ Af + 1e-12 * (1.0 + np.trace(Af.T @ Af)) * np.eye(k)
+        AtA = Af.T @ Af
+        Bq = AtA + 1e-12 * (1.0 + AtA.trace()) * np.eye(k)
         signed = (kind[fit] == 2).nonzero()[0]
         A_in = np.zeros((signed.size, k))
         A_in[np.arange(signed.size), signed] = -1.0
@@ -257,7 +258,7 @@ def find_multipliers(
     mult = MpvcMultipliers(
         lam=z[:m], mu=z[m : m + p], eta_H=z[m + p : m + p + l], eta_G=z[m + p + l :]
     )
-    return mult, float(np.abs(resid).max()) if resid.size else 0.0
+    return mult, float(abs(resid).max()) if resid.size else 0.0
 
 
 def grade_at(problem: MpvcProblem, x: np.ndarray, tau: float) -> Grade:

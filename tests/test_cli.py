@@ -96,8 +96,13 @@ def test_bad_driver_config_is_usage_error(tmp_path, driver):
     (["grid", "--grid", "0,1,2,0,1,2"], {"driver": {"sigmma": 0.5}}),
     (["grid", "--problem", "ten_bar", "--grid", "0,1,2,0,1,2"], {}),
     (["solve", "--x0", "10,10"], ["driver"]),
+    (["solve", "--problem", "academic", "--nodes", "8", "--x0", "10,10"], {}),
+    (["grid", "--nodes", "8", "--grid", "0,1,2,0,1,2"], {}),
+    (["solve", "--problem", "aerothermo", "--nodes", "0"], {}),
+    (["solve", "--problem", "aerothermo", "--nodes", "1"], {}),
 ], ids=["unknown-top-level-key", "constants-off-aerothermo", "grid-unknown-driver-key",
-        "grid-ten-bar", "config-not-an-object"])
+        "grid-ten-bar", "config-not-an-object", "nodes-off-aerothermo", "grid-nodes",
+        "nodes-zero", "nodes-one"])
 def test_usage_error(tmp_path, args, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -216,6 +216,33 @@ def test_eqp_with_singular_reduced_hessian():
     np.testing.assert_allclose(C @ x, d, atol=1e-12)
 
 
+def test_eqp_accepts_lu_residual_within_scaled_tolerance(monkeypatch):
+    # A consistent system with max|x| * max|C| ~ 3e6 and a stiff B: the LU
+    # solution misses C x = d by ~2e-7, above 1e-9 but far below 1e-9 * scale
+    # (~4e-3), so it is accepted as is and the SVD fallback never runs.
+    B = np.diag([1e4, 1e7, 1e-7])
+    c = np.array([-28440960700.0, 14305966100.0, -35626121800.0])
+    C = np.array([[371.0, 301.0, 377.0], [-222.0, -730.0, 443.0]])
+    d = np.array([-106015.0, 253674.0])
+    kkt = np.block([[B, C.T], [C, np.zeros((2, 2))]])
+    sol = np.linalg.solve(kkt, np.concatenate([-c, d]))
+    x_lu = sol[:3]
+    resid = abs(C @ x_lu - d).max()
+    scale = 1.0 + abs(d).max() + abs(x_lu).max() * abs(C).max()
+    assert 1e-8 < resid < 1e-5 < 1e-9 * scale
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    x, y = qp._eqp(B, c, C, d)
+    assert not svd_calls
+    assert np.array_equal(x, x_lu) and np.array_equal(y, sol[3:])
+
+
 def test_bounds_leave_the_kkt_system(monkeypatch):
     # elastic mode on x <= -1, x >= 1, x <= 5: the QP has x and three slacks;
     # slack bounds in the working set shrink the KKT system, not extend it

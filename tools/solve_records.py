@@ -1,0 +1,70 @@
+"""Digest of per-solve records, for checking that two checkouts compute the
+same iterates bit for bit.
+
+    python3 tools/solve_records.py
+
+Solves the first academic and ten-bar starts of perfbench's seed 7 in every
+mode, with perfbench's own inputs and solve sequence (``make_instances``
+and ``solve_timed`` in ``perfbench/bench.py``: the four schemes through
+``solve_mpvc``, the direct baseline through ``solve_nlp``, then multiplier
+recovery and grading).  It prints one sha256 per workload over these
+records: the answer and the last iterate as float hex, the inner statuses,
+SQP iterations and epsilons, and the grade.  Run it from each checkout: it
+imports the ``src/`` and ``perfbench/`` next to it, with one BLAS thread,
+since the thread count can change the rounding.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import bench  # noqa: E402  (perfbench/bench.py)
+
+SEED = 7
+STARTS = {"academic": 100, "ten-bar": 5}     # about 5 s in all
+
+
+def _hex(v) -> str:
+    return ",".join(float(a).hex() for a in np.atleast_1d(np.asarray(v, dtype=float)))
+
+
+def record(out: dict, mode: str) -> str:
+    """One output of ``bench.solve_timed`` as a line of text."""
+    if mode == "direct":
+        sol = out["sol"]
+        x_last = _hex(sol.x_last)
+        inner = f"{sol.status.value}/{sol.total_iterations}/{_hex(sol.epsilon_achieved)}"
+    else:
+        res = out["res"]
+        x_last = _hex(res.last_solution.x_last) if res.last_solution is not None else "-"
+        inner = " ".join(f"{r.inner_status.value}/{r.inner_iterations}/{_hex(r.eps_achieved)}"
+                         for r in res.trace.records)
+        inner = f"{res.trace.reason.value} {inner}"
+    return f"{mode} {_hex(out['x'])} {x_last} {inner} {out['grade'].label()}"
+
+
+def main() -> int:
+    mods = bench.load_modules()
+    limits = mods["nlp"].SolverLimits()
+    for family, count in STARTS.items():
+        digest = hashlib.sha256()
+        for k, inst in enumerate(bench.make_instances(mods, family, SEED, count)):
+            for mode in bench.ALL_MODES:
+                out = bench.solve_timed(mods, inst.problem, inst.x0, mode, limits)
+                digest.update(f"{k} {record(out, mode)}\n".encode())
+        print(f"{family} seed={SEED} starts={count} solves={count * len(bench.ALL_MODES)} "
+              f"sha256={digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
