@@ -206,9 +206,6 @@ def cmd_solve(args, config: dict) -> int:
 
 
 def cmd_grid(args, config: dict) -> int:
-    if not args.grid:
-        print("grid subcommand requires --grid", file=sys.stderr)
-        return 2
     points = _grid_points(args.grid)
     rows, summary = run_grid(args.problem, args.scheme, points, jobs=args.jobs,
                              driver_overrides=config.get("driver", {}))
@@ -225,9 +222,6 @@ def cmd_grid(args, config: dict) -> int:
 
 def cmd_check(args, config: dict) -> int:
     problem = _problem_from_args(args, config)
-    if not args.x0:
-        print("check subcommand requires --x0", file=sys.stderr)
-        return 2
     x = _parse_x0(args.x0, problem.n)
     report = {
         "problem": args.problem,
@@ -284,24 +278,33 @@ def cmd_bench(args, config: dict) -> int:
     return 0 if ok else 1
 
 
+_FLAGS = {
+    "problem": dict(default="academic", choices=["academic", "ten_bar", "aerothermo"]),
+    "scheme": dict(default="global", choices=[s.value for s in Scheme] + ["none"]),
+    "x0": dict(help="comma-separated start point"),
+    "grid": dict(help="xmin,xmax,nx,ymin,ymax,ny"),
+    "config": dict(help="JSON config file"),
+    "out": dict(default="out", help="output directory"),
+    "jobs": dict(type=int, default=1),
+    "nodes": dict(type=int, help="time intervals for the aerothermo problem"),
+}
+# each subcommand with the flags it reads, and the one it cannot run without
+_COMMANDS = [
+    ("solve", cmd_solve, ["problem", "scheme", "x0", "config", "out", "nodes"]),
+    ("grid", cmd_grid, ["problem", "scheme", "grid", "config", "out", "jobs"]),
+    ("check", cmd_check, ["problem", "x0", "config", "out", "nodes"]),
+    ("bench", cmd_bench, ["config", "out"]),
+]
+_REQUIRED = {"grid": "grid", "check": "x0"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mpvc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [("solve", cmd_solve), ("grid", cmd_grid),
-                     ("check", cmd_check), ("bench", cmd_bench)]:
+    for name, fn, flags in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--problem", default="academic",
-                       choices=["academic", "ten_bar", "aerothermo"])
-        p.add_argument("--scheme", default="global",
-                       choices=["global", "local", "lshaped", "nonsmooth", "none"])
-        p.add_argument("--x0", default=None, help="comma-separated start point")
-        p.add_argument("--grid", default=None,
-                       help="xmin,xmax,nx,ymin,ymax,ny (grid subcommand)")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--nodes", type=int, default=None,
-                       help="time intervals for the aerothermo problem")
+        for flag in flags:
+            p.add_argument(f"--{flag}", required=_REQUIRED.get(name) == flag, **_FLAGS[flag])
         p.set_defaults(func=fn)
     return parser
 
@@ -313,9 +316,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.nodes is not None and args.problem != "aerothermo":
+        if getattr(args, "nodes", None) is not None and args.problem != "aerothermo":
             raise ValueError("--nodes needs --problem aerothermo")
-        return args.func(args, _load_config(args.config, args.problem))
+        return args.func(args, _load_config(args.config, getattr(args, "problem", "bench")))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

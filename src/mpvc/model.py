@@ -88,6 +88,10 @@ class MpvcProblem:
         return x
 
 
+# The five pair classes, in the order of ``pair_classes``' codes.
+PAIR_CLASSES = ("I_plus0", "I_plusminus", "I_0plus", "I_00", "I_0minus")
+
+
 @dataclass(frozen=True)
 class IndexSets:
     """Activity partition of the vanishing pairs at a point.
@@ -121,15 +125,18 @@ class IndexSets:
         return self.I_0plus | self.I_00 | self.I_0minus
 
     def as_dict(self) -> dict:
-        return {
-            "I_g": sorted(self.I_g),
-            "I_plus0": sorted(self.I_plus0),
-            "I_plusminus": sorted(self.I_plusminus),
-            "I_0plus": sorted(self.I_0plus),
-            "I_00": sorted(self.I_00),
-            "I_0minus": sorted(self.I_0minus),
-            "tau_act": self.tau_act,
-        }
+        sets = {name: sorted(getattr(self, name)) for name in ("I_g", *PAIR_CLASSES)}
+        return {**sets, "tau_act": self.tau_act}
+
+
+def pair_classes(Gv: np.ndarray, Hv: np.ndarray, tau_act: float) -> np.ndarray:
+    """The class of each vanishing pair, as an index into ``PAIR_CLASSES``,
+    under the banding and folding rules of ``IndexSets``."""
+    if tau_act <= 0.0:
+        raise ParameterError("tau_act must be positive")
+    G_minus = Gv < -tau_act
+    return np.where(Hv > tau_act, np.where(G_minus, 1, 0),
+                    np.where(Gv > tau_act, 2, np.where(G_minus, 4, 3)))
 
 
 def index_sets(problem: MpvcProblem, x: np.ndarray, tau_act: float = 1e-8) -> IndexSets:
@@ -142,38 +149,12 @@ def index_sets(problem: MpvcProblem, x: np.ndarray, tau_act: float = 1e-8) -> In
     tau_act : float
         Absolute activity tolerance; must be positive.
     """
-    if tau_act <= 0.0:
-        raise ParameterError("tau_act must be positive")
     x = problem.check_point(x)
-    gv, _ = problem.g(x)
-    Gv, _ = problem.G(x)
-    Hv, _ = problem.H(x)
-
-    I_g = frozenset(i for i in range(problem.m) if gv[i] >= -tau_act)
-    plus0, plusminus, zplus, z00, zminus = set(), set(), set(), set(), set()
-    for i in range(problem.l):
-        if Hv[i] > tau_act:
-            if Gv[i] < -tau_act:
-                plusminus.add(i)
-            else:
-                # G in the zero band, or the (infeasible) G > tau_act case.
-                plus0.add(i)
-        else:
-            if Gv[i] > tau_act:
-                zplus.add(i)
-            elif Gv[i] < -tau_act:
-                zminus.add(i)
-            else:
-                z00.add(i)
-    return IndexSets(
-        I_g=I_g,
-        I_plus0=frozenset(plus0),
-        I_plusminus=frozenset(plusminus),
-        I_0plus=frozenset(zplus),
-        I_00=frozenset(z00),
-        I_0minus=frozenset(zminus),
-        tau_act=tau_act,
-    )
+    cls = pair_classes(problem.G(x)[0], problem.H(x)[0], tau_act)
+    sets = {name: frozenset(np.flatnonzero(cls == k).tolist())
+            for k, name in enumerate(PAIR_CLASSES)}
+    I_g = frozenset(np.flatnonzero(problem.g(x)[0] >= -tau_act).tolist())
+    return IndexSets(I_g=I_g, **sets, tau_act=tau_act)
 
 
 def max_vio(problem: MpvcProblem, x: np.ndarray) -> float:

@@ -386,10 +386,9 @@ def solve_nlp(
                 # size the initial metric from the curvature along s; the
                 # yTy/sTy variant can blow up by the condition of the pair
                 gamma = min(max(sy / float(s @ s), 1e-4), 1e4)
-                if np.isfinite(gamma):
-                    B = gamma * eye
-                    sBs = float(s @ (B @ s))
-                    scaled = True
+                B = gamma * eye
+                sBs = float(s @ (B @ s))
+                scaled = True
             if sy < 0.2 * sBs:
                 if sBs - sy > 1e-16:
                     theta_d = 0.8 * sBs / (sBs - sy)
@@ -400,7 +399,6 @@ def solve_nlp(
             if sy > 1e-8 * max(1e-12, ns * ny) and sBs > 0:
                 Bs = B @ s
                 B = B - Bs[:, None] * Bs / sBs + y[:, None] * y / sy
-                B = 0.5 * (B + B.T)
             if not abs(B).max() <= 1e10:         # also true on NaN and inf
                 reset = True
             else:

@@ -16,8 +16,9 @@ The grades tighten only on the biactive set I_00:
     S:  etaH_i >= 0 and etaG_i = 0.
 
 ``weak_stationarity_table`` states the equation and the support and sign
-rules above once, as a matrix and one support code per multiplier; every
-function below and the MPVC-LICQ / MPVC-MFCQ checks in ``cq`` read them.
+rules above once, as a matrix and one support code per multiplier, read off
+the pair classes of ``model.pair_classes``; every function below and the
+MPVC-LICQ / MPVC-MFCQ checks in ``cq`` read them.
 ``recover_mpvc_multipliers`` maps the multipliers (nu, delta) of a solved
 regularized problem back to MPVC multipliers through the kernel gradient
 coefficients (c_G, c_H), masked for GLOBAL where the support codes hold a
@@ -33,7 +34,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import PreconditionError
-from .model import IndexSets, MpvcProblem, full_violation, index_sets
+from .model import MpvcProblem, full_violation, pair_classes
 from .nlp import NlpSolution
 from .qp import solve_qp
 from .regularize import KERNELS, Scheme, kernel_rows
@@ -121,50 +122,37 @@ def recover_mpvc_multipliers(
     eta_G = delta * c_G
     eta_H = nu - delta * c_H
     if scheme is Scheme.GLOBAL:
-        kind = _support_codes(problem, index_sets(problem, sol.x, tau_act))
-        held = kind[problem.m + problem.p :] == 0           # [etaH; etaG]
-        np.copyto(eta_H, nu, where=held[: problem.l])
-        eta_G[held[problem.l :]] = 0.0
+        held = _PAIR_CODES[pair_classes(Gv, Hv, tau_act)] == 0
+        np.copyto(eta_H, nu, where=held[:, 0])
+        eta_G[held[:, 1]] = 0.0
     return MpvcMultipliers(
         lam=sol.lam[prov.rows_g], mu=sol.mu.copy(), eta_H=eta_H, eta_G=eta_G
     )
 
 
-def _support_codes(problem: MpvcProblem, ix: IndexSets) -> np.ndarray:
-    """The support code of each entry of z = [lam; mu; etaH; etaG] under
-    the weak-stationarity rules: 0 held at zero, 1 free, 2 nonnegative."""
-    m, p, l = problem.m, problem.p, problem.l
-    codes = [0] * (m + p + 2 * l)
-    codes[m : m + p] = [1] * p                  # mu free
-    for i in ix.I_g:                            # lam >= 0 on active g
-        codes[i] = 2
-    # (etaH_i, etaG_i) on each index set; both held at zero on I_+-
-    for pairs, c_H, c_G in (
-        (ix.I_plus0, 0, 2), (ix.I_0plus, 1, 0), (ix.I_00, 1, 2), (ix.I_0minus, 2, 0)
-    ):
-        for i in pairs:
-            codes[m + p + i], codes[m + p + l + i] = c_H, c_G
-    return np.array(codes, dtype=int)
+# The support codes (etaH_i, etaG_i) of a pair in each class of
+# model.PAIR_CLASSES; both are held at zero on I_+-.
+_PAIR_CODES = np.array([[0, 2], [0, 0], [1, 0], [1, 2], [2, 0]])
 
 
 def weak_stationarity_table(
-    problem: MpvcProblem, x: np.ndarray, ix: IndexSets
+    problem: MpvcProblem, x: np.ndarray, tau_act: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weak stationarity at x as ``(A, kind)`` over z = [lam; mu; etaH; etaG].
 
     ``grad f + A @ z`` is the gradient-equation residual (column -grad H_i
-    for etaH_i), and ``kind`` holds the support code of each entry of z:
-    0 held at zero, 1 free, 2 nonnegative.
+    for etaH_i), and ``kind`` holds the support code of each entry of z
+    under the index sets banded with tau_act: 0 held at zero, 1 free,
+    2 nonnegative (lam on the active inequalities; mu is free).
     """
-    m, p, l = problem.m, problem.p, problem.l
-    At = np.empty((m + p + 2 * l, problem.n))      # row j is column j of A
-    if m:
-        At[:m] = problem.g(x)[1]
-    if p:
-        At[m : m + p] = problem.h(x)[1]
-    np.negative(problem.H(x)[1], out=At[m + p : m + p + l])
-    At[m + p + l :] = problem.G(x)[1]
-    return At.T, _support_codes(problem, ix)
+    gv, Jg = problem.g(x)
+    Gv, JG = problem.G(x)
+    Hv, JH = problem.H(x)
+    At = np.concatenate((Jg, problem.h(x)[1], -JH, JG))     # row j is column j of A
+    pairs = _PAIR_CODES[pair_classes(Gv, Hv, tau_act)]
+    kind = np.concatenate((np.where(gv >= -tau_act, 2, 0), np.ones(problem.p, dtype=int),
+                           pairs.T.ravel()))
+    return At.T, kind
 
 
 def classify(
@@ -186,9 +174,8 @@ def classify(
     _, grad_f = problem.f(x)
     scale = float(abs(grad_f).max()) if grad_f.size else 0.0
     tau_eff = tau * (1.0 + scale)
-    ix = index_sets(problem, x, tau_eff)
 
-    A, kind = weak_stationarity_table(problem, x, ix)
+    A, kind = weak_stationarity_table(problem, x, tau_eff)
     z = mult.lam.tolist() + mult.mu.tolist() + mult.eta_H.tolist() + mult.eta_G.tolist()
     resid = grad_f + A @ z
     stat = float(abs(resid).max()) if resid.size else 0.0
@@ -196,7 +183,9 @@ def classify(
     support = max([0.0] + [abs(v) for v, c in zip(z, codes) if c == 0])
     sign = max([0.0] + [-v for v, c in zip(z, codes) if c == 2])
 
-    products = [float(mult.eta_G[i] * mult.eta_H[i]) for i in sorted(ix.I_00)]
+    code_H, code_G = kind[problem.m + problem.p :].reshape(2, -1)
+    I_00 = np.flatnonzero((code_H == 1) & (code_G == 2))
+    products = [float(mult.eta_G[i] * mult.eta_H[i]) for i in I_00]
 
     grade = Grade.NOT_WEAK
     if stat <= tau_eff and support <= tau_eff and sign <= tau_eff:
@@ -207,7 +196,7 @@ def classify(
                 grade = Grade.M
                 if all(
                     abs(mult.eta_G[i]) <= tau_eff and mult.eta_H[i] >= -tau_eff
-                    for i in ix.I_00
+                    for i in I_00
                 ):
                     grade = Grade.S
     return StationarityReport(
@@ -238,7 +227,7 @@ def find_multipliers(
     if full_violation(problem, x) > 1e-4:
         raise PreconditionError("find_multipliers needs an approximately feasible point")
     _, grad_f = problem.f(x)
-    A, kind = weak_stationarity_table(problem, x, index_sets(problem, x, tau_act))
+    A, kind = weak_stationarity_table(problem, x, tau_act)
     z = np.zeros(kind.size)
     resid = grad_f
     fit = kind.nonzero()[0]
@@ -254,10 +243,7 @@ def find_multipliers(
                        np.zeros(signed.size), x0=np.zeros(k))
         z[fit] = res.x
         resid = grad_f + A @ z
-    m, p, l = problem.m, problem.p, problem.l
-    mult = MpvcMultipliers(
-        lam=z[:m], mu=z[m : m + p], eta_H=z[m + p : m + p + l], eta_G=z[m + p + l :]
-    )
+    mult = MpvcMultipliers(*np.split(z, np.cumsum([problem.m, problem.p, problem.l])))
     return mult, float(abs(resid).max()) if resid.size else 0.0
 
 

@@ -100,9 +100,11 @@ def test_bad_driver_config_is_usage_error(tmp_path, driver):
     (["grid", "--nodes", "8", "--grid", "0,1,2,0,1,2"], {}),
     (["solve", "--problem", "aerothermo", "--nodes", "0"], {}),
     (["solve", "--problem", "aerothermo", "--nodes", "1"], {}),
+    (["bench", "--x0", "1,2"], {}),
+    (["check", "--x0", "0,5", "--scheme", "local"], {}),
 ], ids=["unknown-top-level-key", "constants-off-aerothermo", "grid-unknown-driver-key",
         "grid-ten-bar", "config-not-an-object", "nodes-off-aerothermo", "grid-nodes",
-        "nodes-zero", "nodes-one"])
+        "nodes-zero", "nodes-one", "bench-x0", "check-scheme"])
 def test_usage_error(tmp_path, args, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from fd import fd_gradient, fd_jacobian
 from mpvc.errors import DimensionMismatch, ParameterError
-from mpvc.model import full_violation, index_sets, max_vio
+from mpvc.model import PAIR_CLASSES, full_violation, index_sets, max_vio, pair_classes
 from mpvc.problems import academic
+from mpvc.stationarity import find_multipliers
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,12 +68,32 @@ def test_index_sets_tau_monotonicity():
             assert i in small.I_0plus | small.I_plusminus or i in small.I_0plus
 
 
+def test_pair_classes_match_the_rules():
+    # every (G, H) pair of band edges, folded infeasible values and NaN,
+    # against the rules written out one pair at a time
+    tau = 1e-3
+    vals = [-2 * tau, -tau, -0.5 * tau, 0.0, 0.5 * tau, tau, 2 * tau, math.nan]
+    Gv, Hv = (np.array(v) for v in zip(*itertools.product(vals, vals)))
+
+    def rule(G, H):
+        if H > tau:
+            return "I_plusminus" if G < -tau else "I_plus0"
+        if G > tau:
+            return "I_0plus"
+        return "I_0minus" if G < -tau else "I_00"
+
+    got = [PAIR_CLASSES[k] for k in pair_classes(Gv, Hv, tau)]
+    assert got == [rule(G, H) for G, H in zip(Gv, Hv)]
+
+
 def test_index_sets_bad_inputs():
     prob = academic()
     with pytest.raises(DimensionMismatch):
         index_sets(prob, np.zeros(3))
     with pytest.raises(ParameterError):
         index_sets(prob, np.zeros(2), tau_act=0.0)
+    with pytest.raises(ParameterError):
+        find_multipliers(prob, np.array([0.0, 5.0]), tau_act=0.0)
 
 
 def test_max_vio_values():

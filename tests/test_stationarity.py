@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -90,7 +91,7 @@ class TestRecovery:
             grad_L = grad_f + J_in.T @ lam + J_eq.T @ mu
             terms = np.abs(grad_f) + np.abs(J_in.T) @ lam + np.abs(J_eq.T) @ np.abs(mu)
             scale = 1.0 + np.max(terms)
-            A, _ = weak_stationarity_table(prob, x, index_sets(prob, x))
+            A, _ = weak_stationarity_table(prob, x, 1e-8)
             resid = grad_f + A @ np.concatenate((mult.lam, mult.mu, mult.eta_H, mult.eta_G))
             assert np.max(np.abs(resid - grad_L)) <= 1e-12 * scale, (prob.name, x, t)
             np.testing.assert_array_equal(mult.lam, lam[nlp.provenance.rows_g])
@@ -262,7 +263,7 @@ class TestWeakStationarityTable:
         rng = np.random.default_rng(5)
         for (prob, x), tau_act in itertools.product(self.points(3), (1e-8, 0.5, 3.0)):
             ix = index_sets(prob, x, tau_act)
-            A, kind = weak_stationarity_table(prob, x, ix)
+            A, kind = weak_stationarity_table(prob, x, tau_act)
             k = prob.m + prob.p + 2 * prob.l
             assert A.shape == (prob.n, k) and kind.shape == (k,)
             held = {self.position(prob, slot) for slot in self.off_table(prob, ix)}
@@ -350,6 +351,26 @@ class TestFindMultipliers:
     def test_infeasible_point_rejected(self):
         with pytest.raises(PreconditionError):
             find_multipliers(academic(), np.array([0.0, 2.5]))
+
+    def test_pair_evaluations_per_call(self):
+        # classify evaluates G once; find_multipliers at most twice (the
+        # feasibility check and the table)
+        truss = ten_bar()
+        a0, u0 = np.split(truss.known_points["x0"], [truss.l])
+        for prob, x in ((academic(), np.array([0.0, 5.0])),
+                        (truss, np.concatenate([2.0 * a0, 0.5 * u0]))):
+            assert full_violation(prob, x) <= 1e-12
+            calls = []
+
+            def G(x, G=prob.G):
+                calls.append(x)
+                return G(x)
+
+            counted = dataclasses.replace(prob, G=G)
+            mult, _ = find_multipliers(counted, x)
+            fit_calls = len(calls)
+            classify(counted, x, mult)
+            assert fit_calls <= 2 and len(calls) - fit_calls == 1, prob.name
 
     def test_residual_invariant_under_row_permutation(self):
         # permuting the vanishing pairs must not change the fit residual
