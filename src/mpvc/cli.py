@@ -223,17 +223,19 @@ def cmd_grid(args, config: dict) -> int:
 def cmd_check(args, config: dict) -> int:
     problem = _problem_from_args(args, config)
     x = _parse_x0(args.x0, problem.n)
+    # the "driver" keys are checked as for solve; check reads only tau_act
+    tau_act = _driver_config(Scheme.GLOBAL, config.get("driver", {})).tau_act
     report = {
         "problem": args.problem,
         "x": x.tolist(),
         "max_vio": max_vio(problem, x),
         "full_violation": full_violation(problem, x),
-        "index_sets": index_sets(problem, x, 1e-8).as_dict(),
-        "mpvc_licq": check_mpvc_licq(problem, x).as_dict(),
-        "mpvc_mfcq": check_mpvc_mfcq(problem, x).as_dict(),
+        "index_sets": index_sets(problem, x, tau_act).as_dict(),
+        "mpvc_licq": check_mpvc_licq(problem, x, tau_act).as_dict(),
+        "mpvc_mfcq": check_mpvc_mfcq(problem, x, tau_act).as_dict(),
     }
     try:
-        mult, resid = find_multipliers(problem, x)
+        mult, resid = find_multipliers(problem, x, tau_act)
         rep = classify(problem, x, mult, tau=1e-4)
         report["multipliers"] = mult.as_dict()
         report["fit_residual"] = resid

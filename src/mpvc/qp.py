@@ -18,6 +18,23 @@ the least-squares point counts as consistent, and the inequalities to
 Equality-constrained subproblems are solved through the KKT system with an
 SVD fallback for degenerate working sets.
 
+When the warm point violates an inequality and no ``x0`` is given, the
+warm set grows (a crash start): the most violated row joins it, lowest
+index on ties, and the equality-constrained point is solved again, until it
+is feasible.  Growth stops, and the start falls through to the least-squares
+point and phase 1, when the set has no room left (``p + |W| > n``), the
+solve fails, is not finite or misses the equalities, or the most violated
+row is already in the set.  Callers that pass an ``x0`` (phase 1 and the
+elastic mode) and cold starts (no ``W0``) do not grow.
+
+The iterations are deterministic functions of the iterate and the working
+set at the top of the loop, and nothing else is carried from one iteration
+to the next.  So when that pair repeats bit for bit (a degenerate working
+set that cycles), every later iteration repeats with the period seen, and
+the loop skips the whole periods that fit before the iteration cap: it
+returns the result that running to the cap would return, bit for bit,
+after at most one more period of work.
+
 The bounds are inequality rows ``m .. m+nb-1``, after those of ``A_in``.
 They never enter a KKT system: a bound in the working set fixes its
 variable at 0 and its multiplier is that variable's component of
@@ -166,26 +183,29 @@ def solve_qp(
     # Warm start: the rows of a useful warm set are active at the solution,
     # not at a constructed start, so the equality-constrained point on the
     # whole set is tried first; when it is feasible it makes phase 1
-    # unnecessary and its EQP solve is the first iterate's.
+    # unnecessary and its EQP solve is the first iterate's.  Without an x0
+    # to fall back on, a violated row joins the set (the most violated one,
+    # lowest index on ties) and the EQP is solved again, while there is room.
     x = W = eqp = None
     if W0:
         W_try = [i for i in W0 if 0 <= i < m]
-        if p + len(W_try) <= n and len(W_try) == len(set(W_try)):
+        # a row that is already in the set ends the growth here too
+        while p + len(W_try) <= n and len(W_try) == len(set(W_try)):
             try:
-                eqp = _eqp_w(B, c, A_all, b_all, eq_rows, W_try, nb)
+                trial = _eqp_w(B, c, A_all, b_all, eq_rows, W_try, nb)
             except np.linalg.LinAlgError:
-                pass
-            if (
-                eqp is not None
-                and np.isfinite(eqp[0]).all()
-                and (m == 0 or (A_in @ eqp[0] - b_in).max() <= feas_tol)
-                # on inconsistent equalities the SVD fallback of _eqp
-                # returns a least-squares point
-                and (p == 0 or abs(A_eq @ eqp[0] - b_eq).max() <= eq_tol)
-            ):
-                x, W = eqp[0], W_try
-            else:
-                eqp = None
+                break
+            # on inconsistent equalities the SVD fallback of _eqp returns a
+            # least-squares point
+            if not np.isfinite(trial[0]).all() or (p and abs(A_eq @ trial[0] - b_eq).max() > eq_tol):
+                break
+            viol = A_in @ trial[0] - b_in
+            if not m or viol.max() <= feas_tol:
+                x, W, eqp = trial[0], W_try, trial
+                break
+            if x0 is not None:
+                break
+            W_try = W_try + [int(viol.argmax())]
     if x is None and x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         ok_eq = p == 0 or abs(A_eq @ x0 - b_eq).max() <= eq_tol
@@ -208,7 +228,17 @@ def solve_qp(
 
     it = 0
     status = "max_iter"
+    seen = {}       # loop state -> the iteration count it was met at
     while it < max_iter:
+        # x and W are the whole state here, so a repeated one repeats its
+        # cycle up to the cap: skip the whole periods that still fit
+        state = (x.tobytes(), tuple(W))
+        if state in seen:
+            period = it - seen[state]
+            it += (max_iter - it) // period * period
+        seen[state] = it
+        if it == max_iter:
+            break
         it += 1
         x_new, y = eqp or _eqp_w(B, c, A_all, b_all, eq_rows, W, nb)
         eqp = None

@@ -141,6 +141,24 @@ def test_check_reports(tmp_path):
     assert report["index_sets"]["I_0plus"] == [0, 1]
 
 
+def test_check_rejects_unknown_driver_key(tmp_path):
+    assert run(["check", "--x0", "0,5", "--config", write_config(tmp_path, {"sigmma": 3}),
+                "--out", str(tmp_path / "out")]) == 2
+
+
+def test_check_reads_tau_act(tmp_path):
+    # at (0, 5.001) the second pair has H = 5.001 and G = -0.001: strictly
+    # negative under the default tau_act, active under tau_act = 0.01
+    sets = {}
+    for name, extra in [("plain", []),
+                        ("config", ["--config", write_config(tmp_path, {"tau_act": 0.01})])]:
+        out = tmp_path / name
+        assert run(["check", "--x0", "0,5.001", "--out", str(out), *extra]) == 0
+        sets[name] = json.loads((out / "check.json").read_text())["index_sets"]
+    assert 1 in sets["plain"]["I_plusminus"] and 1 not in sets["plain"]["I_plus0"]
+    assert 1 in sets["config"]["I_plus0"] and 1 not in sets["config"]["I_plusminus"]
+
+
 def test_check_weak_point(tmp_path):
     import math
 

@@ -272,3 +272,89 @@ def test_bounds_without_a_feasible_start():
     assert res.status == "optimal"
     np.testing.assert_allclose(res.x, [-1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(res.lam, [0.8], atol=1e-12)
+
+
+@pytest.fixture
+def phase1_calls(monkeypatch):
+    """A list that gets one entry per ``_phase1`` call."""
+    calls = []
+    phase1 = qp._phase1
+
+    def counting_phase1(*args):
+        calls.append(1)
+        return phase1(*args)
+
+    monkeypatch.setattr(qp, "_phase1", counting_phase1)
+    return calls
+
+
+def test_violated_warm_row_grows_the_start(phase1_calls):
+    # x1 <= 1, x2 <= 1, x1 >= 0.5 with the minimizer at (3, 3): the warm
+    # point on {x1 <= 1} is (1, 3), which violates x2 <= 1; with that row
+    # added the point (1, 1) is feasible (and optimal), so the start needs
+    # neither the least-squares point x = 0, which violates x1 >= 0.5, nor
+    # phase 1
+    data = (np.eye(2), np.array([-3.0, -3.0]), np.zeros((0, 2)), np.zeros(0),
+            np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 1.0, -0.5]))
+    cold = solve_qp(*data)
+    assert len(phase1_calls) == 1
+    warm = solve_qp(*data, W0=[0])
+    assert len(phase1_calls) == 1
+    assert warm.status == cold.status == "optimal"
+    assert warm.working_set == [0, 1]
+    np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
+    np.testing.assert_allclose(warm.lam, cold.lam, atol=1e-12)
+
+
+def test_warm_set_without_room_falls_back(phase1_calls):
+    # x1 = x2 leaves one free direction: the warm point (1, 1) on {x1 <= 1}
+    # violates x2 <= 0.5, but a second row would leave no room, so the start
+    # falls back to phase 1 (the least-squares point 0 violates x1 >= 0.25)
+    data = (np.eye(2), np.array([-3.0, -1.0]), np.array([[1.0, -1.0]]), np.zeros(1),
+            np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 0.5, -0.25]))
+    cold = solve_qp(*data)
+    warm = solve_qp(*data, W0=[0])
+    assert len(phase1_calls) == 2
+    assert warm.status == cold.status == "optimal"
+    np.testing.assert_allclose(warm.x, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
+    np.testing.assert_allclose(warm.lam, cold.lam, atol=1e-12)
+    np.testing.assert_allclose(warm.mu, cold.mu, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_repeated_cycle_is_skipped_to_the_cap(monkeypatch, m):
+    # A stubbed working-set EQP that makes the loop cycle between two states
+    # at x = 0: on {0, 1} the point stays and row 1's multiplier is negative,
+    # so row 1 drops; on {0} the point (0, 1) is the step, and row 1 blocks
+    # it at once (x2 <= 0 is active at 0), so row 1 joins again.  The warm
+    # point on {0} violates row 1, so the start grows to {0, 1}.  Row 2, when
+    # present, is slack and changes only the cap: 5 (n + m) + 30.
+    calls = []
+
+    def cycling_eqp_w(B, c, A_all, b_all, eq_rows, W, nb):
+        calls.append(list(W))
+        if W == [0, 1]:
+            return np.zeros(2), np.array([1.0, -1.0])
+        assert W == [0]
+        return np.array([0.0, 1.0]), np.array([0.5])
+
+    monkeypatch.setattr(qp, "_eqp_w", cycling_eqp_w)
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])[:m]
+    b = np.array([0.0, 0.0, 10.0])[:m]
+    res = solve_qp(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0), A, b, W0=[0])
+    cap = 5 * (2 + m) + 30
+    assert res.status == "max_iter"
+    assert res.iterations == cap
+    assert len(calls) < 20
+    np.testing.assert_array_equal(res.x, np.zeros(2))
+    lam = np.zeros(m)
+    if cap % 2 == 0:
+        # the last iteration solved on {0} and row 1 joined after it
+        assert res.working_set == [0, 1]
+        lam[0] = 0.5
+    else:
+        # the last iteration solved on {0, 1} and row 1 dropped after it
+        assert res.working_set == [0]
+        lam[0] = 1.0
+    np.testing.assert_array_equal(res.lam, lam)
