@@ -42,6 +42,17 @@ variable at 0 and its multiplier is that variable's component of
 (``_relax``) with different weights; it passes its slacks' bounds this way,
 so its KKT systems are only as large as its general rows.
 
+Phase 1 has its own start order.  Its slack QP's optimum is, on a
+consistent system, the Euclidean projection of the least-squares point onto
+the feasible set, so that projection is computed first by a dual active-set
+method (``_project``), and the slack QP starts there with zero slacks and
+the projection's active rows plus every slack bound as its working set: its
+first iteration confirms the point.  When the projection finds the set
+empty, stops at its iteration cap or meets linearly dependent equalities,
+the slack QP starts at the least-squares point with each row's violation
+as its slack, and decides feasibility on its own, as the elastic mode
+expects.
+
 The same routine backs the SQP subproblems, the elastic-mode relaxation,
 the multiplier least-squares fit and the positive-linear-independence
 probe, so it must stay deterministic: ties in ratio tests and multiplier
@@ -301,25 +312,131 @@ def _relax(H, g, weight, sigma, A_eq, b_eq, A_in, b_in, S_eq, S_in, z0, W0):
                     x0=z0, W0=W0, nb=k)
 
 
+def _project(A_eq, b_eq, A_in, b_in, x0):
+    """The Euclidean projection of ``x0``, a point on the equalities, onto
+    ``{x : A_eq x = b_eq, A_in x <= b_in}``: the dual active-set method of
+    Goldfarb and Idnani (Math. Prog. 27, 1983) with B = I.
+
+    It starts at ``x0`` with the equalities active and adds the most violated
+    row (lowest index on ties) while one is violated by more than
+    ``1e-13 * scale``.  Adding row ``a`` moves x along ``z``, the part of
+    ``a`` orthogonal to the active normals, as its multiplier rises by t;
+    the active multipliers change by ``-t r``, with ``a - z`` = the active
+    normals times ``r``.  When an inequality's multiplier reaches 0 first
+    (the earliest to join on ties), that row is dropped and the add goes on
+    from there (a partial step); otherwise the row joins once it holds.
+    ``z`` counts as 0 when ``|z| <= 1e-6 |a|``, so that no nearly dependent
+    row joins, and always when n normals are active.  When ``z = 0`` and no
+    multiplier falls, no point satisfies the row: "infeasible".  The active
+    normals are kept as ``Q R`` (orthonormal columns in ``Q``) with
+    ``R^-1``: an add appends a column, a drop factors them again.
+
+    Returns a ``QpResult`` whose ``lam`` (>= 0) and ``mu`` satisfy
+    ``x - x0 = -(A_eq^T mu + A_in^T lam)``, with the active inequality rows
+    as ``working_set`` in the order they joined.  The status is "max_iter"
+    at the iteration cap, and at once when the equality normals are
+    linearly dependent (phase 1 then starts without the projection)."""
+    n = x0.size
+    p = b_eq.size
+    m = b_in.size
+    scale = 1.0 + abs(b_in).max() + (abs(b_eq).max() if p else 0.0)
+    Q = np.zeros((n, n))
+    Rinv = np.zeros((n, n))
+    u = np.zeros(n)                 # multipliers of the active normals
+    W = []
+    k = p                           # active normals: the equalities, then W
+    if p:
+        Qe, R = np.linalg.qr(A_eq.T)
+        d = abs(R.diagonal())
+        if d.min() <= 1e-10 * d.max():
+            return QpResult(x0, np.zeros(m), np.zeros(p), "max_iter", 0)
+        Q[:, :p], Rinv[:p, :p] = Qe, np.linalg.inv(R)
+    norms2 = np.einsum("ij,ij->i", A_in, A_in)
+    x = x0
+    j = -1                          # the row being added, if any
+    max_iter = 2 * (n + m) + 10
+    for it in range(max_iter):
+        if j < 0:
+            viol = A_in @ x - b_in
+            j = int(viol.argmax())
+            v = float(viol[j])      # the row's violation at x
+            if v <= 1e-13 * scale:
+                lam = np.zeros(m)
+                lam[W] = np.maximum(u[p:k], 0.0)
+                return QpResult(x, lam, u[:p].copy(), "optimal", it, W)
+            uj = 0.0                # and its multiplier
+        a = A_in[j]
+        Qk = Q[:, :k]
+        w = Qk.T @ a
+        z = a - Qk @ w
+        r = Rinv[:k, :k] @ w
+        zz = float(z @ z)
+        moves = k < n and zz > 1e-12 * norms2[j]
+        t = v / zz if moves else np.inf
+        drop = -1
+        if W:
+            ri = r[p:]
+            pos = np.flatnonzero(ri > 1e-12 * (1.0 + abs(ri).max()))
+            if pos.size:
+                ratios = u[p:k][pos] / ri[pos]
+                i = int(ratios.argmin())
+                if ratios[i] < t:
+                    t, drop = max(float(ratios[i]), 0.0), int(pos[i])
+        if t == np.inf:
+            return QpResult(x, np.zeros(m), np.zeros(p), "infeasible", it + 1)
+        if moves:
+            x = x - t * z
+            v -= t * zz
+        u[:k] -= t * r
+        uj += t
+        if drop < 0:
+            rho = np.sqrt(zz)
+            Q[:, k] = z / rho
+            Rinv[:k, k] = r / -rho
+            Rinv[k, k] = 1.0 / rho
+            u[k] = uj
+            k += 1
+            W.append(j)
+            j = -1
+        else:
+            W.pop(drop)
+            u[p + drop:k - 1] = u[p + drop + 1:k]
+            k -= 1
+            Qa, R = np.linalg.qr(np.vstack([A_eq, A_in[W]]).T)
+            Q[:] = Rinv[:] = 0.0
+            Q[:, :k], Rinv[:k, :k] = Qa, np.linalg.inv(R)
+    return QpResult(x, np.zeros(m), np.zeros(p), "max_iter", max_iter)
+
+
 def _phase1(A_eq, b_eq, A_in, b_in, x_init):
     """Find a feasible point by minimizing elastic slacks on the
     inequalities; returns None if the constraints are inconsistent."""
     n = x_init.size
     p = b_eq.size
     m = b_in.size
-    s_init = np.maximum(A_in @ x_init - b_in, 0.0)
     tol = 1e-7 * (1.0 + abs(b_in).max())
     eps = 1e-6
     # Each inequality gets a slack charged one per unit; the proximal term
-    # eps/2 |x - x_init|^2 makes the QP strictly convex.  The working set
-    # starts with the rows active at (x_init, s_init): the shifted row of a
-    # violated inequality, the slack bound of every other one.  From an
-    # empty set the first step would add exactly these rows, one degenerate
-    # (zero-length) iteration each and lowest index first; they are listed
-    # in that order because the order steers later ties and rounding.
-    W0 = [j for j in range(m) if s_init[j] > 0] + [m + j for j in range(m) if s_init[j] <= 0]
+    # eps/2 |x - x_init|^2 makes the QP strictly convex.  On a consistent
+    # system whose projection multipliers stay below 1/eps its optimum is
+    # the projection of x_init with zero slacks, so it starts there, with
+    # the projection's active rows and every slack bound as its working set:
+    # the first iteration confirms that point.  Without a projection it
+    # starts at (x_init, s_init) with the rows active there: the shifted
+    # row of a violated inequality, the slack bound of every other one.
+    # From an empty set the first step would add exactly these rows, one
+    # degenerate (zero-length) iteration each and lowest index first; they
+    # are listed in that order because the order steers later ties and
+    # rounding.
+    proj = _project(A_eq, b_eq, A_in, b_in, x_init)
+    if proj.status == "optimal":
+        # it meets every row to 1e-13 * scale, inside solve_qp's tolerance
+        x, s, rows = proj.x, np.zeros(m), proj.working_set
+    else:
+        x, s, rows = x_init, np.maximum(A_in @ x_init - b_in, 0.0), []
+    W0 = rows + [j for j in range(m) if s[j] > 0] + [m + j for j in range(m) if s[j] <= 0]
     res = _relax(eps * np.eye(n), -eps * x_init, 1.0, eps, A_eq, b_eq, A_in, b_in,
-                 np.zeros((p, m)), -np.eye(m), np.concatenate([x_init, s_init]), W0)
+                 np.zeros((p, m)), -np.eye(m), np.concatenate([x, s]), W0)
     x, s = res.x[:n], res.x[n:]
     if res.status == "infeasible" or s.max() > tol or (A_in @ x - b_in).max() > tol:
         return None

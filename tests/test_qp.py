@@ -358,3 +358,75 @@ def test_repeated_cycle_is_skipped_to_the_cap(monkeypatch, m):
         assert res.working_set == [0]
         lam[0] = 1.0
     np.testing.assert_array_equal(res.lam, lam)
+
+
+def record_slack_qps(mp):
+    """Patch ``qp.solve_qp`` through ``mp``, a ``pytest.MonkeyPatch``, so that
+    every call appends (its ``x0``, its ``W0``, its result) to the returned
+    list; inside ``_phase1`` the only call is the slack QP's."""
+    calls = []
+    solve = qp.solve_qp
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls.append((kwargs.get("x0"), kwargs.get("W0"), res))
+        return res
+
+    mp.setattr(qp, "solve_qp", recording)
+    return calls
+
+
+@pytest.fixture
+def slack_qps(monkeypatch):
+    return record_slack_qps(monkeypatch)
+
+
+def test_projection_drops_a_row_it_added(slack_qps):
+    # The projection of 0 onto {10 x1 <= -10, x1 + 2 x2 <= -6}.  Row 0 is
+    # the more violated (10 against 6) and joins first, at (-1, 0) with
+    # multiplier 0.1.  Adding row 1 moves along z = (0, 2), its part
+    # orthogonal to row 0, while row 0's multiplier falls by r = 0.1 per
+    # unit: it reaches 0 at t = 1, before row 1 holds (t = 5/4), so row 0
+    # drops at (-1, -2).  Alone, row 1 holds 1/5 further on: the exact
+    # projection (-6/5, -12/5) with multiplier 6/5, where row 0 is slack.
+    no_eq = (np.zeros((0, 2)), np.zeros(0))
+    A_in = np.array([[10.0, 0.0], [1.0, 2.0]])
+    b_in = np.array([-10.0, -6.0])
+    proj = qp._project(*no_eq, A_in, b_in, np.zeros(2))
+    assert proj.status == "optimal"
+    assert proj.iterations == 3         # add row 0, drop it, add row 1
+    assert proj.working_set == [1]
+    np.testing.assert_allclose(proj.x, [-1.2, -2.4], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(proj.lam, [0.0, 1.2], rtol=0, atol=1e-14)
+    # phase 1 starts its slack QP there, which confirms it in one iteration
+    x = qp._phase1(*no_eq, A_in, b_in, np.zeros(2))
+    (z0, W0, res), = slack_qps
+    np.testing.assert_array_equal(z0, [*proj.x, 0.0, 0.0])
+    assert W0 == [1, 2, 3]
+    assert res.status == "optimal" and res.iterations == 1
+    np.testing.assert_allclose(x, [-1.2, -2.4], rtol=0, atol=1e-14)
+
+
+def test_empty_projection_leaves_phase1_to_the_slack_qp(slack_qps):
+    # x1 <= -1, x1 >= 2 and x1 <= 0.1: from 0, row 1 is the most violated
+    # (by 2) and joins first.  Row 0's normal is then -1 times row 1's, so
+    # it cannot move x, and row 1's multiplier would have to rise to satisfy
+    # it: nothing can be released, and the set is empty.
+    no_eq = (np.zeros((0, 2)), np.zeros(0))
+    A_in = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+    b_in = np.array([-1.0, -2.0, 0.1])
+    proj = qp._project(*no_eq, A_in, b_in, np.zeros(2))
+    assert proj.status == "infeasible"
+    assert proj.iterations == 2
+    assert qp._phase1(*no_eq, A_in, b_in, np.zeros(2)) is None
+    # The slack QP started as it does without a projection: at x_init with
+    # each row's violation as its slack, the two shifted rows and row 2's
+    # slack bound (row 3 + 2) in its working set.  That set's point,
+    # x1 = 1/3, violates row 2: one step to x1 = 0.1 adds row 2, and a
+    # second iteration confirms the optimum there.
+    (z0, W0, res), = slack_qps
+    np.testing.assert_array_equal(z0, [0.0, 0.0, 1.0, 2.0, 0.0])
+    assert W0 == [0, 1, 5]
+    assert res.iterations == 2
+    assert res.working_set == [0, 1, 5, 2]
+    np.testing.assert_allclose(res.x, [0.1, 0.0, 1.1, 1.9, 0.0], rtol=0, atol=1e-9)

@@ -1,6 +1,7 @@
 """Property tests of the active-set QP: the starting point and the starting
 working set choose only the path, never the optimum of a strictly convex
-QP, phase 1 finds a feasible point exactly when one exists, and bounds
+QP, phase 1 finds a feasible point exactly when one exists (the projection
+of its start, which its slack QP confirms in one iteration), and bounds
 passed as bounds give the optimum of the same bounds passed as rows."""
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from mpvc.qp import _phase1, solve_qp  # noqa: E402
-from test_qp import kkt_ok  # noqa: E402
+from mpvc.qp import _phase1, _project, solve_qp  # noqa: E402
+from test_qp import kkt_ok, record_slack_qps  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -65,12 +66,25 @@ def test_start_does_not_change_the_optimum(dims, tight, parallel):
 
 
 @SETTINGS
-@given(sizes, st.booleans())
-def test_phase1_finds_a_feasible_point_iff_one_exists(dims, consistent):
+@given(sizes, st.booleans(), st.booleans())
+def test_phase1_finds_a_feasible_point_iff_one_exists(dims, consistent, parallel):
     n, p, m, seed = dims
     m = max(m, 1)   # solve_qp calls phase 1 only to satisfy inequalities
     rng = np.random.default_rng(seed)
     A_eq, b_eq, A_in, b_in = feasible_polytope(rng, n, p, m, 0)
+    if parallel:
+        # normals in the span of others, which the projection must add or
+        # skip without a move: a scaled copy of row 0, tighter by less than
+        # the 0.1 of room every row has at the feasible point (when row 0
+        # joins first, the copy replaces it by a drop), and a row parallel
+        # to an equality with room left, as in the test above
+        f = rng.uniform(0.2, 2.0)
+        A_in = np.vstack([A_in, f * A_in[0]])
+        b_in = np.concatenate([b_in, [f * (b_in[0] - rng.uniform(0.0, 0.1))]])
+        if p:
+            g = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            A_in = np.vstack([A_in, g * A_eq[0]])
+            b_in = np.concatenate([b_in, [g * b_eq[0] + rng.uniform(0.1, 2.0)]])
     if not consistent:
         # a . x <= beta and a . x >= beta + 1 exclude each other
         a = rng.normal(size=n)
@@ -80,7 +94,9 @@ def test_phase1_finds_a_feasible_point_iff_one_exists(dims, consistent):
     x_init = 5.0 * rng.normal(size=n)
     if p:
         x_init -= np.linalg.lstsq(A_eq, A_eq @ x_init - b_eq, rcond=None)[0]
-    x = _phase1(A_eq, b_eq, A_in, b_in, x_init)
+    with pytest.MonkeyPatch.context() as mp:
+        slack_qps = record_slack_qps(mp)
+        x = _phase1(A_eq, b_eq, A_in, b_in, x_init)
     if not consistent:
         assert x is None
         return
@@ -89,6 +105,18 @@ def test_phase1_finds_a_feasible_point_iff_one_exists(dims, consistent):
     assert np.max(A_in @ x - b_in) <= tol
     if p:
         assert np.max(np.abs(A_eq @ x - b_eq)) <= tol
+    # x is the projection of x_init: x - x_init = -(A_eq^T mu + A_in^T u)
+    # with u >= 0 zero on the rows x leaves slack, u and mu the projection's
+    proj = _project(A_eq, b_eq, A_in, b_in, x_init)
+    assert proj.status == "optimal"
+    atol = 1e-9 * (1.0 + np.max(np.abs(x_init)))
+    np.testing.assert_allclose(x - x_init, -(A_eq.T @ proj.mu + A_in.T @ proj.lam), rtol=0, atol=atol)
+    assert proj.lam.min() >= 0.0
+    assert np.max(np.abs(proj.lam * (A_in @ x - b_in))) <= atol
+    # and the slack QP, started there, only confirms it
+    (_, _, res), = slack_qps
+    assert res.status == "optimal"
+    assert res.iterations == 1
 
 
 @SETTINGS
