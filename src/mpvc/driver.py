@@ -67,6 +67,10 @@ class DriverConfig:
             raise ParameterError("need sigma in (0, 1)")
         if self.tol <= 0.0:
             raise ParameterError("need tol > 0")
+        if self.eps_inner is not None and self.eps_inner <= 0.0:
+            raise ParameterError("need eps_inner > 0 (or None)")
+        if self.tau_act <= 0.0:
+            raise ParameterError("need tau_act > 0")
 
     def inner_eps(self, t: float) -> float:
         if self.eps_inner is not None:

@@ -11,9 +11,9 @@ with B symmetric positive definite.  The method starts at the first point
 that satisfies every constraint, tried in this order: the equality-
 constrained solution on the warm working set ``W0`` (which is then also the
 first iterate, so its KKT system is solved once), a given ``x0``, a
-least-squares solve on the equalities, and the result of a phase-1 QP.  A
-point satisfies the equalities to ``1e-7 * scale``, the tolerance at which
-the least-squares point counts as consistent, and the inequalities to
+least-squares solve on the equalities, and the phase-1 point.  A point
+satisfies the equalities to ``1e-7 * scale``, the tolerance at which the
+least-squares point counts as consistent, and the inequalities to
 ``1e-9 * scale``, with ``scale = 1 + max|b_in| + max|b_eq|``.
 Equality-constrained subproblems are solved through the KKT system with an
 SVD fallback for degenerate working sets.
@@ -27,6 +27,11 @@ solve fails, is not finite or misses the equalities, or the most violated
 row is already in the set.  Callers that pass an ``x0`` (phase 1 and the
 elastic mode) and cold starts (no ``W0``) do not grow.
 
+Phase 1 is the Euclidean projection of the least-squares point onto the
+feasible set by a dual active-set method (``_project``), which also decides
+whether the set is empty; the projection QP (B = I), warm-started there on
+the projection's active rows, confirms the point in its first iteration.
+
 The iterations are deterministic functions of the iterate and the working
 set at the top of the loop, and nothing else is carried from one iteration
 to the next.  So when that pair repeats bit for bit (a degenerate working
@@ -38,20 +43,8 @@ after at most one more period of work.
 The bounds are inequality rows ``m .. m+nb-1``, after those of ``A_in``.
 They never enter a KKT system: a bound in the working set fixes its
 variable at 0 and its multiplier is that variable's component of
-``B x + c + C^T y``.  Phase 1 and the elastic mode are one slack relaxation
-(``_relax``) with different weights; it passes its slacks' bounds this way,
+``B x + c + C^T y``.  The elastic mode passes its slacks' bounds this way,
 so its KKT systems are only as large as its general rows.
-
-Phase 1 has its own start order.  Its slack QP's optimum is, on a
-consistent system, the Euclidean projection of the least-squares point onto
-the feasible set, so that projection is computed first by a dual active-set
-method (``_project``), and the slack QP starts there with zero slacks and
-the projection's active rows plus every slack bound as its working set: its
-first iteration confirms the point.  When the projection finds the set
-empty, stops at its iteration cap or meets linearly dependent equalities,
-the slack QP starts at the least-squares point with each row's violation
-as its slack, and decides feasibility on its own, as the elastic mode
-expects.
 
 The same routine backs the SQP subproblems, the elastic-mode relaxation,
 the multiplier least-squares fit and the positive-linear-independence
@@ -168,8 +161,11 @@ def solve_qp(
     """Primal active-set method; see module docstring.
 
     From any start but the warm point, the rows of ``W0`` active there form
-    the first working set.  ``nb`` (set only by ``_relax``, which passes a
-    feasible ``x0``) bounds the last ``nb`` variables at 0 from below.
+    the first working set.  ``nb`` (set only by ``solve_qp_elastic``, which
+    passes a feasible ``x0``) bounds the last ``nb`` variables at 0 from
+    below.  "infeasible" means that no start was found: the equalities are
+    inconsistent, the projection finds the set empty, or it stops without
+    a point (linearly dependent equality normals, its iteration cap).
     """
     n = c.size
     p = b_eq.size
@@ -192,10 +188,9 @@ def solve_qp(
         m += nb
 
     # Warm start: the rows of a useful warm set are active at the solution,
-    # not at a constructed start, so the equality-constrained point on the
-    # whole set is tried first; when it is feasible it makes phase 1
-    # unnecessary and its EQP solve is the first iterate's.  Without an x0
-    # to fall back on, a violated row joins the set (the most violated one,
+    # so the equality-constrained point on the whole set is tried first; when
+    # feasible, it needs no phase 1 and its EQP solve is the first iterate's.
+    # Without an x0, a violated row joins the set (the most violated one,
     # lowest index on ties) and the EQP is solved again, while there is room.
     x = W = eqp = None
     if W0:
@@ -227,9 +222,12 @@ def solve_qp(
         if p and abs(A_eq @ x - b_eq).max() > eq_tol:
             return QpResult(x, np.zeros(m), np.zeros(p), "infeasible", 0)
         if m and (A_in @ x - b_in).max() > feas_tol:
-            x = _phase1(A_eq, b_eq, A_in, b_in, x)
-            if x is None:
+            # phase 1: the projection decides feasibility and the projection
+            # QP confirms it; proj.x meets eq_tol, so that QP needs no phase 1
+            proj = _project(A_eq, b_eq, A_in, b_in, x)
+            if proj.status != "optimal" or (p and abs(A_eq @ proj.x - b_eq).max() > eq_tol):
                 return QpResult(np.zeros(n), np.zeros(m), np.zeros(p), "infeasible", 0)
+            x = solve_qp(np.eye(n), -x, A_eq, b_eq, A_in, b_in, x0=proj.x, W0=proj.working_set).x
     if W is None:
         resid = A_in @ x - b_in if m else np.zeros(0)
         active = set(np.flatnonzero(resid >= -10 * feas_tol).tolist())
@@ -293,25 +291,6 @@ def solve_qp(
     return QpResult(x, lam, y[:p], status, it, W)
 
 
-def _relax(H, g, weight, sigma, A_eq, b_eq, A_in, b_in, S_eq, S_in, z0, W0):
-    """The slack relaxation behind phase 1 and the elastic mode:
-
-        min  1/2 x^T H x + g^T x + weight * sum(s) + sigma/2 |s|^2
-        s.t. A_eq x + S_eq s = b_eq,  A_in x + S_in s <= b_in,  s >= 0
-
-    solved from the feasible start ``z0 = (x, s)`` and warm set ``W0``.  The
-    bounds ``s >= 0`` are inequality rows ``m ..`` after those of ``A_in``,
-    passed to ``solve_qp`` as bounds, so they never enter a KKT system."""
-    n = g.size
-    k = S_in.shape[1]
-    Bz = np.zeros((n + k, n + k))
-    Bz[:n, :n] = H
-    Bz[n:, n:] = sigma * np.eye(k)
-    cz = np.concatenate([g, np.full(k, weight)])
-    return solve_qp(Bz, cz, np.hstack([A_eq, S_eq]), b_eq, np.hstack([A_in, S_in]), b_in,
-                    x0=z0, W0=W0, nb=k)
-
-
 def _project(A_eq, b_eq, A_in, b_in, x0):
     """The Euclidean projection of ``x0``, a point on the equalities, onto
     ``{x : A_eq x = b_eq, A_in x <= b_in}``: the dual active-set method of
@@ -335,7 +314,7 @@ def _project(A_eq, b_eq, A_in, b_in, x0):
     ``x - x0 = -(A_eq^T mu + A_in^T lam)``, with the active inequality rows
     as ``working_set`` in the order they joined.  The status is "max_iter"
     at the iteration cap, and at once when the equality normals are
-    linearly dependent (phase 1 then starts without the projection)."""
+    linearly dependent; ``solve_qp`` reports either as "infeasible"."""
     n = x0.size
     p = b_eq.size
     m = b_in.size
@@ -408,41 +387,6 @@ def _project(A_eq, b_eq, A_in, b_in, x0):
     return QpResult(x, np.zeros(m), np.zeros(p), "max_iter", max_iter)
 
 
-def _phase1(A_eq, b_eq, A_in, b_in, x_init):
-    """Find a feasible point by minimizing elastic slacks on the
-    inequalities; returns None if the constraints are inconsistent."""
-    n = x_init.size
-    p = b_eq.size
-    m = b_in.size
-    tol = 1e-7 * (1.0 + abs(b_in).max())
-    eps = 1e-6
-    # Each inequality gets a slack charged one per unit; the proximal term
-    # eps/2 |x - x_init|^2 makes the QP strictly convex.  On a consistent
-    # system whose projection multipliers stay below 1/eps its optimum is
-    # the projection of x_init with zero slacks, so it starts there, with
-    # the projection's active rows and every slack bound as its working set:
-    # the first iteration confirms that point.  Without a projection it
-    # starts at (x_init, s_init) with the rows active there: the shifted
-    # row of a violated inequality, the slack bound of every other one.
-    # From an empty set the first step would add exactly these rows, one
-    # degenerate (zero-length) iteration each and lowest index first; they
-    # are listed in that order because the order steers later ties and
-    # rounding.
-    proj = _project(A_eq, b_eq, A_in, b_in, x_init)
-    if proj.status == "optimal":
-        # it meets every row to 1e-13 * scale, inside solve_qp's tolerance
-        x, s, rows = proj.x, np.zeros(m), proj.working_set
-    else:
-        x, s, rows = x_init, np.maximum(A_in @ x_init - b_in, 0.0), []
-    W0 = rows + [j for j in range(m) if s[j] > 0] + [m + j for j in range(m) if s[j] <= 0]
-    res = _relax(eps * np.eye(n), -eps * x_init, 1.0, eps, A_eq, b_eq, A_in, b_in,
-                 np.zeros((p, m)), -np.eye(m), np.concatenate([x, s]), W0)
-    x, s = res.x[:n], res.x[n:]
-    if res.status == "infeasible" or s.max() > tol or (A_in @ x - b_in).max() > tol:
-        return None
-    return x
-
-
 def solve_qp_elastic(
     B: np.ndarray,
     c: np.ndarray,
@@ -455,16 +399,19 @@ def solve_qp_elastic(
 ) -> QpResult:
     """Slack-penalized relaxation used when the QP constraints are
     inconsistent: every row gets an elastic slack charged ``penalty`` per
-    unit in an l1 sense, which always yields a well-posed problem.
+    unit in an l1 sense, which always yields a well-posed problem,
 
-    The returned multipliers are those of the original rows (bounded in
-    magnitude by ``penalty``)."""
+        min  1/2 d^T B d + c^T d + penalty * sum(s) + sigma/2 |s|^2
+        s.t. A_eq d + s_plus - s_minus = b_eq,  A_in d - s_in <= b_in,  s >= 0
+
+    with ``sigma = 1e-8 * max(penalty, 1)`` for strict convexity and the
+    bounds ``s >= 0`` passed to ``solve_qp`` as bounds.  The returned
+    multipliers are those of the original rows (``|.| <= penalty``)."""
     n = c.size
     p = b_eq.size
     m = b_in.size
     ns = 2 * p + m
-    # slacks (s_plus, s_minus, s_in) in A_eq d + s_plus - s_minus = b_eq and
-    # A_in d - s_in <= b_in, started at the least ones that hold at d = 0
+    # the slacks start at the least values that hold at d = 0
     s0 = np.maximum(np.concatenate([b_eq, -b_eq, -b_in]), 0.0)
     # Seed the working set with the slack bounds active at the start: they
     # pin unnecessary slacks at zero immediately instead of rediscovering
@@ -473,8 +420,11 @@ def solve_qp_elastic(
     W_init = [i for i in (W0 or []) if i < m + ns]
     if not any(i >= m for i in W_init):
         W_init += [m + j for j in range(ns) if s0[j] <= 0.0]
-    res = _relax(B, c, penalty, 1e-8 * max(penalty, 1.0), A_eq, b_eq, A_in, b_in,
-                 np.hstack([np.eye(p), -np.eye(p), np.zeros((p, m))]),
-                 np.hstack([np.zeros((m, 2 * p)), -np.eye(m)]),
-                 np.concatenate([np.zeros(n), s0]), W_init)
+    Bz = np.zeros((n + ns, n + ns))
+    Bz[:n, :n] = B
+    Bz[n:, n:] = 1e-8 * max(penalty, 1.0) * np.eye(ns)
+    cz = np.concatenate([c, np.full(ns, penalty)])
+    res = solve_qp(Bz, cz, np.hstack([A_eq, np.eye(p), -np.eye(p), np.zeros((p, m))]), b_eq,
+                   np.hstack([A_in, np.zeros((m, 2 * p)), -np.eye(m)]), b_in,
+                   x0=np.concatenate([np.zeros(n), s0]), W0=W_init, nb=ns)
     return QpResult(res.x[:n], res.lam[:m], res.mu, res.status, res.iterations, res.working_set)

@@ -90,6 +90,20 @@ def test_bad_driver_config_is_usage_error(tmp_path, driver):
     assert code == 2
 
 
+@pytest.mark.parametrize("scheme", ["lshaped", "global"])
+@pytest.mark.parametrize("driver", [{"tau_act": -1}, {"tau_act": 0}, {"eps_inner": -1},
+                                    {"eps_inner": 0}])
+def test_nonpositive_tolerance_is_usage_error(tmp_path, scheme, driver):
+    # rejected before the solve runs, whichever scheme would read it
+    out = tmp_path / "out"
+    code = run([
+        "solve", "--problem", "academic", "--scheme", scheme, "--x0", "10,10",
+        "--config", write_config(tmp_path, driver), "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, config", [
     (["solve", "--x0", "10,10"], {"drivr": {"sigma": 0.5}}),
     (["solve", "--x0", "10,10"], {"aerothermo_constants": {"K_e": 1e-3}}),

@@ -78,6 +78,27 @@ def test_convex_qp_with_licq_recovered_exactly():
     np.testing.assert_allclose(sol.lam, [0.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("x0", [[0.0, 0.0], [3.0, 3.0]])
+def test_duplicated_equalities_converge_through_elastic_mode(x0):
+    # min (x1 - 3)^2 + x2^2 s.t. x1 <= 0.5 and x1 + x2 = 2 written twice:
+    # x = (0.5, 1.5).  Each QP whose least-squares point violates x1 <= 0.5
+    # is "infeasible" (dependent equality normals), so the solve goes on in
+    # elastic mode.  The copies' multipliers are not unique, only their sum
+    # (-3) and lam = 8 are.
+    nlp = simple_nlp(
+        objective=lambda x: (float((x[0] - 3) ** 2 + x[1] ** 2),
+                             np.array([2 * (x[0] - 3), 2 * x[1]])),
+        ineq=lambda x: (np.array([x[0] - 0.5]), np.array([[1.0, 0.0]])),
+        eq=lambda x: (np.full(2, x[0] + x[1] - 2), np.ones((2, 2))),
+        n=2,
+    )
+    sol = solve_nlp(nlp, np.array(x0), eps_target=1e-8)
+    assert sol.status is SolveStatus.CONVERGED
+    np.testing.assert_allclose(sol.x, [0.5, 1.5], atol=1e-8)
+    ok, bd = check_eps_stationary(nlp, sol.x, sol.lam, sol.mu, 1e-8)
+    assert ok, bd
+
+
 def test_certificate_soundness():
     for prob_fn, x0 in [
         (bound_problem, np.array([5.0])),

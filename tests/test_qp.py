@@ -113,25 +113,17 @@ def test_warm_start_working_set():
     assert warm.iterations <= cold.iterations
 
 
-def test_feasible_warm_point_skips_phase1(monkeypatch):
+def test_feasible_warm_point_skips_phase1(phase1_calls):
     # 1 <= x1 <= 2 with the minimizer pushed to x1 = 2: the least-squares
     # start x = 0 violates x1 >= 1, the EQP point on the warm set does not
-    calls = []
-    phase1 = qp._phase1
-
-    def counting_phase1(*args):
-        calls.append(1)
-        return phase1(*args)
-
-    monkeypatch.setattr(qp, "_phase1", counting_phase1)
     B = np.eye(2)
     c = np.array([-3.0, 0.0])
     A = np.array([[1.0, 0.0], [-1.0, 0.0]])
     b = np.array([2.0, -1.0])
     cold = solve_qp(B, c, np.zeros((0, 2)), np.zeros(0), A, b)
-    assert len(calls) == 1
+    assert len(phase1_calls) == 1
     warm = solve_qp(B, c, np.zeros((0, 2)), np.zeros(0), A, b, W0=cold.working_set)
-    assert len(calls) == 1
+    assert len(phase1_calls) == 1
     assert warm.status == cold.status == "optimal"
     np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
     np.testing.assert_allclose(warm.lam, cold.lam, atol=1e-12)
@@ -276,15 +268,15 @@ def test_bounds_without_a_feasible_start():
 
 @pytest.fixture
 def phase1_calls(monkeypatch):
-    """A list that gets one entry per ``_phase1`` call."""
+    """A list that gets one entry per phase 1, that is per ``_project`` call."""
     calls = []
-    phase1 = qp._phase1
+    project = qp._project
 
-    def counting_phase1(*args):
+    def counting_project(*args):
         calls.append(1)
-        return phase1(*args)
+        return project(*args)
 
-    monkeypatch.setattr(qp, "_phase1", counting_phase1)
+    monkeypatch.setattr(qp, "_project", counting_project)
     return calls
 
 
@@ -360,10 +352,11 @@ def test_repeated_cycle_is_skipped_to_the_cap(monkeypatch, m):
     np.testing.assert_array_equal(res.lam, lam)
 
 
-def record_slack_qps(mp):
+def record_nested_qps(mp):
     """Patch ``qp.solve_qp`` through ``mp``, a ``pytest.MonkeyPatch``, so that
-    every call appends (its ``x0``, its ``W0``, its result) to the returned
-    list; inside ``_phase1`` the only call is the slack QP's."""
+    every call through the module appends (its ``x0``, its ``W0``, its result)
+    to the returned list.  Called as the unpatched ``solve_qp`` imported
+    above, a QP records only its phase 1's nested projection QP."""
     calls = []
     solve = qp.solve_qp
 
@@ -377,11 +370,11 @@ def record_slack_qps(mp):
 
 
 @pytest.fixture
-def slack_qps(monkeypatch):
-    return record_slack_qps(monkeypatch)
+def nested_qps(monkeypatch):
+    return record_nested_qps(monkeypatch)
 
 
-def test_projection_drops_a_row_it_added(slack_qps):
+def test_projection_drops_a_row_it_added(nested_qps):
     # The projection of 0 onto {10 x1 <= -10, x1 + 2 x2 <= -6}.  Row 0 is
     # the more violated (10 against 6) and joins first, at (-1, 0) with
     # multiplier 0.1.  Adding row 1 moves along z = (0, 2), its part
@@ -398,16 +391,19 @@ def test_projection_drops_a_row_it_added(slack_qps):
     assert proj.working_set == [1]
     np.testing.assert_allclose(proj.x, [-1.2, -2.4], rtol=0, atol=1e-14)
     np.testing.assert_allclose(proj.lam, [0.0, 1.2], rtol=0, atol=1e-14)
-    # phase 1 starts its slack QP there, which confirms it in one iteration
-    x = qp._phase1(*no_eq, A_in, b_in, np.zeros(2))
-    (z0, W0, res), = slack_qps
-    np.testing.assert_array_equal(z0, [*proj.x, 0.0, 0.0])
-    assert W0 == [1, 2, 3]
-    assert res.status == "optimal" and res.iterations == 1
-    np.testing.assert_allclose(x, [-1.2, -2.4], rtol=0, atol=1e-14)
+    # phase 1 solves the projection QP from there, which confirms it in one
+    # iteration; the outer QP (the same projection) then starts at its point
+    res = solve_qp(np.eye(2), np.zeros(2), *no_eq, A_in, b_in)
+    (x0, W0, nested), = nested_qps
+    np.testing.assert_array_equal(x0, proj.x)
+    assert W0 == [1]
+    assert nested.status == "optimal" and nested.iterations == 1
+    np.testing.assert_allclose(nested.x, [-1.2, -2.4], rtol=0, atol=1e-14)
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [-1.2, -2.4], rtol=0, atol=1e-14)
 
 
-def test_empty_projection_leaves_phase1_to_the_slack_qp(slack_qps):
+def test_empty_projection_is_infeasible(nested_qps):
     # x1 <= -1, x1 >= 2 and x1 <= 0.1: from 0, row 1 is the most violated
     # (by 2) and joins first.  Row 0's normal is then -1 times row 1's, so
     # it cannot move x, and row 1's multiplier would have to rise to satisfy
@@ -418,15 +414,21 @@ def test_empty_projection_leaves_phase1_to_the_slack_qp(slack_qps):
     proj = qp._project(*no_eq, A_in, b_in, np.zeros(2))
     assert proj.status == "infeasible"
     assert proj.iterations == 2
-    assert qp._phase1(*no_eq, A_in, b_in, np.zeros(2)) is None
-    # The slack QP started as it does without a projection: at x_init with
-    # each row's violation as its slack, the two shifted rows and row 2's
-    # slack bound (row 3 + 2) in its working set.  That set's point,
-    # x1 = 1/3, violates row 2: one step to x1 = 0.1 adds row 2, and a
-    # second iteration confirms the optimum there.
-    (z0, W0, res), = slack_qps
-    np.testing.assert_array_equal(z0, [0.0, 0.0, 1.0, 2.0, 0.0])
-    assert W0 == [0, 1, 5]
-    assert res.iterations == 2
-    assert res.working_set == [0, 1, 5, 2]
-    np.testing.assert_allclose(res.x, [0.1, 0.0, 1.1, 1.9, 0.0], rtol=0, atol=1e-9)
+    # that verdict is the QP's, with no nested projection QP
+    res = solve_qp(np.eye(2), np.zeros(2), *no_eq, A_in, b_in)
+    assert res.status == "infeasible" and res.iterations == 0
+    assert nested_qps == []
+
+
+def test_duplicated_equalities_are_infeasible_at_once(nested_qps):
+    # x1 + x2 = 2 written twice, and x1 <= 0.5: the least-squares point
+    # (1, 1) violates the inequality, and the projection stops at once on
+    # the linearly dependent equality normals.  solve_qp reports that as
+    # "infeasible", and the SQP's elastic mode takes over.
+    A_eq = np.array([[1.0, 1.0], [1.0, 1.0]])
+    b_eq = np.array([2.0, 2.0])
+    A_in, b_in = np.array([[1.0, 0.0]]), np.array([0.5])
+    assert qp._project(A_eq, b_eq, A_in, b_in, np.ones(2)).status == "max_iter"
+    res = solve_qp(np.eye(2), np.zeros(2), A_eq, b_eq, A_in, b_in)
+    assert res.status == "infeasible" and res.iterations == 0
+    assert nested_qps == []

@@ -1,16 +1,16 @@
 """Property tests of the active-set QP: the starting point and the starting
 working set choose only the path, never the optimum of a strictly convex
 QP, phase 1 finds a feasible point exactly when one exists (the projection
-of its start, which its slack QP confirms in one iteration), and bounds
-passed as bounds give the optimum of the same bounds passed as rows."""
+of its start, which the projection QP confirms in one iteration), and
+bounds passed as bounds give the optimum of the same bounds passed as rows."""
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from mpvc.qp import _phase1, _project, solve_qp  # noqa: E402
-from test_qp import kkt_ok, record_slack_qps  # noqa: E402
+from mpvc.qp import _project, solve_qp  # noqa: E402
+from test_qp import kkt_ok, record_nested_qps  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -90,33 +90,46 @@ def test_phase1_finds_a_feasible_point_iff_one_exists(dims, consistent, parallel
         a = rng.normal(size=n)
         A_in = np.vstack([A_in, a, -a])
         b_in = np.concatenate([b_in, [0.5, -1.5]])
-    # phase 1 starts from a point on the equalities, as solve_qp hands it
+    # Move the origin to x_init, 5 away on average: the least-squares point
+    # on the equalities, where solve_qp's phase 1 starts, is then the
+    # projection of x_init onto them.  Phase 1 runs when it violates a row.
     x_init = 5.0 * rng.normal(size=n)
-    if p:
-        x_init -= np.linalg.lstsq(A_eq, A_eq @ x_init - b_eq, rcond=None)[0]
+    b_eq, b_in = b_eq - A_eq @ x_init, b_in - A_in @ x_init
+    x_ls = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0] if p else np.zeros(n)
+    scale = 1.0 + np.max(np.abs(b_in)) + (np.max(np.abs(b_eq)) if p else 0.0)
+    assume(np.max(A_in @ x_ls - b_in) > 1e-9 * scale)
+    B, c = convex_objective(rng, n)
+    qp = (B, c, A_eq, b_eq, A_in, b_in)
+    proj = _project(A_eq, b_eq, A_in, b_in, x_ls)
     with pytest.MonkeyPatch.context() as mp:
-        slack_qps = record_slack_qps(mp)
-        x = _phase1(A_eq, b_eq, A_in, b_in, x_init)
+        nested_qps = record_nested_qps(mp)
+        res = solve_qp(*qp)
     if not consistent:
-        assert x is None
+        assert proj.status == "infeasible"
+        assert res.status == "infeasible"
+        assert nested_qps == []
         return
-    assert x is not None
-    tol = 1e-7 * (1.0 + np.max(np.abs(b_in)))
+    assert res.status == "optimal"
+    assert kkt_ok(*qp, res)
+    # proj.x is the projection of x_ls: x - x_ls = -(A_eq^T mu + A_in^T u)
+    # with u >= 0 zero on the rows x leaves slack
+    assert proj.status == "optimal"
+    x = proj.x
+    tol = 1e-7 * scale
     assert np.max(A_in @ x - b_in) <= tol
     if p:
         assert np.max(np.abs(A_eq @ x - b_eq)) <= tol
-    # x is the projection of x_init: x - x_init = -(A_eq^T mu + A_in^T u)
-    # with u >= 0 zero on the rows x leaves slack, u and mu the projection's
-    proj = _project(A_eq, b_eq, A_in, b_in, x_init)
-    assert proj.status == "optimal"
-    atol = 1e-9 * (1.0 + np.max(np.abs(x_init)))
-    np.testing.assert_allclose(x - x_init, -(A_eq.T @ proj.mu + A_in.T @ proj.lam), rtol=0, atol=atol)
+    atol = 1e-9 * (1.0 + np.max(np.abs(x_ls)))
+    np.testing.assert_allclose(x - x_ls, -(A_eq.T @ proj.mu + A_in.T @ proj.lam), rtol=0, atol=atol)
     assert proj.lam.min() >= 0.0
     assert np.max(np.abs(proj.lam * (A_in @ x - b_in))) <= atol
-    # and the slack QP, started there, only confirms it
-    (_, _, res), = slack_qps
-    assert res.status == "optimal"
-    assert res.iterations == 1
+    # and the projection QP, started there, only confirms it
+    (x0, W0, nested), = nested_qps
+    np.testing.assert_array_equal(x0, x)
+    assert W0 == proj.working_set
+    assert nested.status == "optimal"
+    assert nested.iterations == 1
+    np.testing.assert_allclose(nested.x, x, rtol=0, atol=atol)
 
 
 @SETTINGS
