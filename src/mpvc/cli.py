@@ -88,10 +88,12 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
 
 
 def run_single(problem, scheme_name: str, driver_overrides: dict, x0):
-    """One solve, direct (``"none"``) or through the driver with the config
-    file's "driver" keys; returns (result dict, driver trace or None)."""
+    """One solve, direct (``"none"``) or through the driver, with the config
+    file's "driver" keys checked for every scheme; a direct solve reads only
+    ``max_inner_iter``.  Returns (result dict, driver trace or None)."""
     if scheme_name == "none":
-        sol = solve_nlp(direct_nlp(problem), x0, eps_target=1e-9)
+        limits = _driver_config(Scheme.GLOBAL, driver_overrides).limits
+        sol = solve_nlp(direct_nlp(problem), x0, eps_target=1e-9, limits=limits)
         x, trace, grade = sol.x, None, grade_at(problem, sol.x, 1e-4).label()
         mode = {
             "outer_iterations": 1,

@@ -10,8 +10,8 @@ when
     g_i(x) <= eps,  lam_i >= -eps,  |g_i(x) lam_i| <= eps,  |h_i(x)| <= eps.
 
 ``solve_nlp`` drives a damped-BFGS SQP with an l1-merit line search and a
-primal active-set QP for the subproblems; inconsistent linearizations fall
-back to an elastic (slack-penalized) QP.  ``epsilon_achieved`` is always
+primal active-set QP; inconsistent linearizations fall back to an elastic
+QP.  Each ``SolveStatus`` has one exit.  ``epsilon_achieved`` is always
 accounted in exactly the terms above, not from solver-internal norms, so a
 Converged result is a certificate that ``check_eps_stationary`` accepts.
 """
@@ -29,6 +29,11 @@ from .qp import solve_qp, solve_qp_elastic
 from .regularize import Nlp, RowProvenance
 
 class SolveStatus(Enum):
+    """How ``solve_nlp`` ended; each status has one exit:
+    Converged: a certificate (x, lam, mu) at eps_target.
+    IterLimit: ``max_iter`` SQP iterations ran.
+    LineSearchFail: no acceptable step, also after the fresh-metric retry.
+    Diverged: an iterate has |x_i| > 1e10."""
     CONVERGED = "Converged"
     ITER_LIMIT = "IterLimit"
     LINESEARCH_FAIL = "LineSearchFail"
@@ -208,9 +213,7 @@ def solve_nlp(
     just_reset = False
     status = SolveStatus.ITER_LIMIT
     it = 0
-    stall_count = 0
     viol0 = _l1_violation(g_vals, h_vals)
-    viol_hist: list = []
     elastic_mode = False
 
     while it < limits.max_iter:
@@ -345,30 +348,6 @@ def solve_nlp(
             continue
         just_reset = False
 
-        # Bail out when neither feasibility nor the objective moves for
-        # many accepted steps: the iterates sit at a stationary point of
-        # the infeasibility (e.g. the linearizations are inconsistent and
-        # elastic steps have stalled), and grinding to the iteration cap
-        # would only burn time.  viol_hist is empty before the first step.
-        viol_stuck = (
-            viol_new > max(10.0 * eps_target, 1e-10)
-            and viol_hist
-            and viol_new > viol0 - 1e-8 * (1.0 + viol0)
-        )
-        if viol_stuck and f_t > f - 1e-10 * (1.0 + abs(f)):
-            stall_count += 1
-        else:
-            stall_count = 0
-        # inconsistent constraints: the objective may still creep along an
-        # elastic valley, so also compare the violation over a window
-        viol_hist.append(viol_new)
-        windowed_stall = (
-            elastic_mode
-            and len(viol_hist) > 30
-            and viol_new > max(10.0 * eps_target, 1e-10)
-            and viol_new > 0.9 * viol_hist[-31]
-        )
-
         # Damped BFGS on the Lagrangian; reset on lost curvature or
         # runaway entries.  Heavily truncated steps are skipped: with the
         # move limit above they are rare, and their multipliers carry no
@@ -410,9 +389,6 @@ def solve_nlp(
         x, f, grad_f, viol0 = x_t, f_t, grad_t, viol_new
         g_vals, Jg = g_t, Jg_t
         h_vals, Jh = h_t, Jh_t
-        if stall_count >= 12 or windowed_stall:
-            status = SolveStatus.LINESEARCH_FAIL
-            break
         if abs(x).max() > _DIVERGENCE_BOUND:
             status = SolveStatus.DIVERGED
             break

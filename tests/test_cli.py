@@ -104,6 +104,27 @@ def test_nonpositive_tolerance_is_usage_error(tmp_path, scheme, driver):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("driver", [{"sigmma": 3}, {"tau_act": -1}])
+def test_direct_solve_checks_driver_config(tmp_path, driver):
+    out = tmp_path / "out"
+    code = run([
+        "solve", "--problem", "academic", "--scheme", "none", "--x0", "10,10",
+        "--config", write_config(tmp_path, driver), "--out", str(out),
+    ])
+    assert code == 2
+    assert not (out / "result.json").exists()
+
+
+def test_direct_solve_reads_max_inner_iter(tmp_path):
+    out = tmp_path / "out"
+    run([
+        "solve", "--problem", "academic", "--scheme", "none", "--x0", "10,10",
+        "--config", write_config(tmp_path, {"max_inner_iter": 2}), "--out", str(out),
+    ])
+    result = json.loads((out / "result.json").read_text())
+    assert result["inner_iterations"] <= 2
+
+
 @pytest.mark.parametrize("args, config", [
     (["solve", "--x0", "10,10"], {"drivr": {"sigma": 0.5}}),
     (["solve", "--x0", "10,10"], {"aerothermo_constants": {"K_e": 1e-3}}),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpvc import nlp
+from mpvc import driver, nlp
 from mpvc.driver import DriverConfig, StopReason, solve_mpvc
 from mpvc.errors import ParameterError
 from mpvc.model import max_vio
@@ -100,3 +100,57 @@ def test_ten_bar_lshaped_elastic_qps_finish(monkeypatch):
     assert all(r.inner_status is not SolveStatus.ITER_LIMIT for r in res.trace.records)
     assert res.trace.reason is StopReason.FEASIBILITY
     assert res.f == pytest.approx(8.0, abs=1e-2)
+
+
+def test_ten_bar_lshaped_inner_solves_converge():
+    # A ten-bar start (areas drawn in [0.5, 2], displacements K(a)^-1 f)
+    # whose t = 0.1 LSHAPED solve accepts a long run of steps that barely
+    # reduce the violation, then converges after 51 iterations: a solve
+    # that keeps accepting steps must not end as LineSearchFail.
+    prob = ten_bar()
+    geo = prob.meta["geometry"]
+    a = np.array([1.5369760953357268, 1.1903606396085047, 1.2405399437113844,
+                  1.7713761588403578, 1.4854132291812607, 1.7967579255117339,
+                  0.885734647997364, 1.1672657461139055, 1.1565989589697359,
+                  1.0883948660046427])
+    x0 = np.concatenate([a, np.linalg.solve(assemble_stiffness(geo, a), geo.load)])
+    res = solve_mpvc(prob, DriverConfig(scheme=Scheme.LSHAPED), x0)
+    assert [r.inner_status for r in res.trace.records] == [SolveStatus.CONVERGED] * 2
+    assert res.trace.reason is StopReason.FEASIBILITY
+    assert res.f == pytest.approx(8.0, abs=1e-6)
+
+
+def test_tmin_reached_after_converged_solve():
+    # one solve at t = 1 converges to a point that is still infeasible for
+    # the MPVC, and t = 0.1 is already below t_min
+    config = DriverConfig(scheme=Scheme.GLOBAL, t0=1.0, t_min=0.5)
+    res = solve_mpvc(academic(), config, np.array([10.0, 10.0]))
+    (rec,) = res.trace.records
+    assert rec.inner_status is SolveStatus.CONVERGED
+    assert rec.max_vio == pytest.approx(0.995, abs=1e-3)
+    assert res.trace.reason is StopReason.TMIN
+
+
+def test_inner_failure_when_last_solve_fails():
+    config = DriverConfig(scheme=Scheme.GLOBAL, t0=1.0, t_min=0.5,
+                          limits=SolverLimits(max_iter=1))
+    res = solve_mpvc(academic(), config, np.array([1.0, 1.0]))
+    (rec,) = res.trace.records
+    assert rec.inner_status is SolveStatus.ITER_LIMIT
+    assert max_vio(academic(), res.x) > 1e-6
+    assert res.trace.reason is StopReason.INNER_FAILURE
+
+
+def test_eps_inner_reaches_inner_solves(monkeypatch):
+    targets = []
+    solve_nlp = driver.solve_nlp
+
+    def recording_solve_nlp(*args, eps_target, **kwargs):
+        targets.append(eps_target)
+        return solve_nlp(*args, eps_target=eps_target, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_nlp", recording_solve_nlp)
+    config = DriverConfig(scheme=Scheme.GLOBAL, eps_inner=1e-3)
+    res = solve_mpvc(academic(), config, np.array([10.0, 10.0]))
+    assert len(targets) == res.trace.outer_iterations >= 2
+    assert targets == [1e-3] * len(targets)

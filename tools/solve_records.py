@@ -9,9 +9,13 @@ and ``solve_timed`` in ``perfbench/bench.py``: the four schemes through
 ``solve_mpvc``, the direct baseline through ``solve_nlp``, then multiplier
 recovery and grading).  It prints one sha256 per workload over these
 records: the answer and the last iterate as float hex, the inner statuses,
-SQP iterations and epsilons, and the grade.  Run it from each checkout: it
-imports the ``src/`` and ``perfbench/`` next to it, with one BLAS thread,
-since the thread count can change the rounding.
+SQP iterations and epsilons, and the grade.  It then solves the aerothermo
+N=8 fixture of acceptance criterion 6 (K_e x6, ``max_iter=400``, about 12 s)
+in every mode and prints one plain-text line per mode, with the inner
+statuses and iterations and the final f, and one sha256 over the final
+points.  Run it from each checkout: it imports the ``src/`` and
+``perfbench/`` next to it, with one BLAS thread, since the thread count can
+change the rounding.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ import bench  # noqa: E402  (perfbench/bench.py)
 
 SEED = 7
 STARTS = {"academic": 100, "ten-bar": 5}     # about 5 s in all
+AERO_CONSTANTS = {"K_e": 6 * 1.7415e-4}      # as in tests/test_acceptance.py
 
 
 def _hex(v) -> str:
@@ -63,6 +68,21 @@ def main() -> int:
                 digest.update(f"{k} {record(out, mode)}\n".encode())
         print(f"{family} seed={SEED} starts={count} solves={count * len(bench.ALL_MODES)} "
               f"sha256={digest.hexdigest()}")
+
+    prob = mods["problems"].aerothermo(N=8, constants=AERO_CONSTANTS)
+    limits = mods["nlp"].SolverLimits(max_iter=400)
+    digest = hashlib.sha256()
+    for mode in bench.ALL_MODES:
+        out = bench.solve_timed(mods, prob, prob.known_points["x0"], mode, limits)
+        if mode == "direct":
+            inner = [(out["sol"].status.value, out["sol"].total_iterations)]
+        else:
+            inner = [(r.inner_status.value, r.inner_iterations)
+                     for r in out["res"].trace.records]
+        print(f"aerothermo N=8 {mode}: {' '.join(f'{s}/{i}' for s, i in inner)} "
+              f"its={out['iters']} f={prob.f(out['x'])[0]:.10g}")
+        digest.update(f"{mode} {_hex(out['x'])}\n".encode())
+    print(f"aerothermo N=8 K_e x6 solves={len(bench.ALL_MODES)} sha256={digest.hexdigest()}")
     return 0
 
 
