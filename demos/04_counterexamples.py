@@ -33,8 +33,7 @@ for fam in counterexamples():
         ok, bd = check_eps_stationary(nlp, x_t, lam, np.zeros(0), fam.eps_of_t(t))
         sol = NlpSolution(
             x=x_t, lam=lam, mu=np.zeros(0), epsilon_achieved=max(bd.values()),
-            status=SolveStatus.CONVERGED, provenance=nlp.provenance,
-            x_last=x_t, total_iterations=0,
+            status=SolveStatus.CONVERGED, provenance=nlp.provenance, total_iterations=0,
         )
         mult = recover_mpvc_multipliers(fam.problem, fam.scheme, t, sol)
         print(f"  t={t:5.0e}  certificate ok: {ok}   recovered "

@@ -3,12 +3,13 @@
 Starting from x0 with parameter t0, repeat while t_k >= t_min and
 max_vio(x_k) > tol: solve the regularized problem R(t_k) warm-started at
 x_k, take its solution as x_{k+1}, shrink t_{k+1} = sigma * t_k.  The final
-iterate is returned whether or not it is feasible; the termination reason
-records which loop condition ended the run.  An inner-solver failure
-continues from the inner solve's last iterate (``x_last``) with the
-smaller t (homotopy usually self-heals); InnerFailure is reported only
-when every iteration from some point on failed and the loop ran out of
-parameter range while infeasible.
+iterate is returned whether or not it is feasible.  Each inner solve
+starts where the previous one ended, its first QP working set seeded by
+that solve's multipliers, also after an inner failure (homotopy with the
+smaller t usually self-heals).  The reason is FeasibilityReached only
+when the final iterate satisfies every MPVC constraint (full_violation <=
+tol), else InnerFailure if the last inner solve failed and TminReached if
+it converged.
 
 One nuance: max_vio only measures the products G_i H_i, so it is
 non-positive at every feasible point and at many infeasible ones (negative
@@ -150,7 +151,6 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
     t = config.t0
     k = 0
     lam_warm = None
-    mu_warm = None
     last_sol: Optional[NlpSolution] = None
     last_t: Optional[float] = None
     # feasible and weakly stationary: nothing for the loop to do
@@ -175,11 +175,8 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
             eps_target=config.inner_eps(t),
             limits=config.limits,
             lam0=lam_warm,
-            mu0=mu_warm,
         )
-        # keep the last inner iterate (not the best-certificate one): a
-        # failed solve usually still made progress worth warm-starting
-        x = sol.x_last
+        x = sol.x
         f_val, _ = problem.f(x)
         trace.records.append(
             TraceRecord(
@@ -193,22 +190,20 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
                 eps_achieved=sol.epsilon_achieved,
             )
         )
-        lam_warm, mu_warm = sol.lam, sol.mu
+        lam_warm = sol.lam
         last_sol, last_t = sol, t
         last_failed = sol.status is not SolveStatus.CONVERGED
         t = t * config.sigma
         k += 1
 
-    if max_vio(problem, x) <= config.tol:
+    # max_vio ends the loop, but it measures only the products G_i H_i; a
+    # run is feasible only if every MPVC constraint holds.
+    if full_violation(problem, x) <= config.tol:
         trace.reason = StopReason.FEASIBILITY
+    elif last_failed:
+        trace.reason = StopReason.INNER_FAILURE
     else:
-        # t fell below t_min while infeasible; blame the inner solver only
-        # if the run never recovered after its last failure.
-        statuses = [r.inner_status for r in trace.records]
-        if statuses and statuses[-1] is not SolveStatus.CONVERGED:
-            trace.reason = StopReason.INNER_FAILURE
-        else:
-            trace.reason = StopReason.TMIN
+        trace.reason = StopReason.TMIN
 
     f_val, _ = problem.f(x)
     return DriverResult(x=x, f=float(f_val), trace=trace, last_solution=last_sol, last_t=last_t)

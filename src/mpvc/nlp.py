@@ -11,9 +11,10 @@ when
 
 ``solve_nlp`` drives a damped-BFGS SQP with an l1-merit line search and a
 primal active-set QP; inconsistent linearizations fall back to an elastic
-QP.  Each ``SolveStatus`` has one exit.  ``epsilon_achieved`` is always
-accounted in exactly the terms above, not from solver-internal norms, so a
-Converged result is a certificate that ``check_eps_stationary`` accepts.
+QP.  Each ``SolveStatus`` has one exit; a solve returns where it ended,
+with its last QP's multipliers.  ``epsilon_achieved`` is always accounted
+in exactly the terms above, not from solver-internal norms, so a Converged
+result is a certificate that ``check_eps_stationary`` accepts.
 """
 from __future__ import annotations
 
@@ -57,11 +58,12 @@ class SolverLimits:
 class NlpSolution:
     """Result of ``solve_nlp``.
 
-    ``(x, lam, mu, epsilon_achieved)`` is the certificate: the converged
-    iterate on Converged, else the iterate with the smallest epsilon seen.
-    ``x_last`` is where the solve ended (equal to x on Converged), the
-    better continuation for a homotopy caller after a failure, and
-    ``total_iterations`` counts the SQP iterations run.
+    ``x`` is where the solve ended; ``(lam, mu, epsilon_achieved)`` come
+    from its last QP.  On Converged and LineSearchFail that QP was solved
+    at x, so they are the certificate at x.  On IterLimit and Diverged the
+    last iteration usually stepped from the QP's point to x, so they belong
+    to the iterate before x.  ``total_iterations`` counts the SQP
+    iterations run.
     """
 
     x: np.ndarray
@@ -70,7 +72,6 @@ class NlpSolution:
     epsilon_achieved: float
     status: SolveStatus
     provenance: Optional[RowProvenance]
-    x_last: np.ndarray
     total_iterations: int
 
 
@@ -158,7 +159,6 @@ def solve_nlp(
     eps_target: float = 1e-8,
     limits: Optional[SolverLimits] = None,
     lam0: Optional[np.ndarray] = None,
-    mu0: Optional[np.ndarray] = None,
 ) -> NlpSolution:
     """Solve ``nlp`` to eps-stationarity from ``x0``.
 
@@ -169,15 +169,15 @@ def solve_nlp(
     eps_target : float
         Target eps in the stationarity accounting above.
     limits : SolverLimits
-    lam0, mu0 : optional arrays
-        Warm-start multipliers (used for the initial penalty and the
-        initial QP working set when the row structure matches).
+    lam0 : optional array of length nlp.n_ineq
+        Warm-start multipliers; their positive rows are the first QP's
+        working set.  The merit penalty starts at 1 whatever they are.
 
     Returns
     -------
     NlpSolution
-        On Converged the certificate (x, lam, mu) passes
-        ``check_eps_stationary`` at eps_target.
+        See its docstring for what each status returns.  On Converged the
+        certificate (x, lam, mu) passes ``check_eps_stationary`` at eps_target.
     """
     if limits is None:
         limits = SolverLimits()
@@ -202,14 +202,10 @@ def solve_nlp(
     reset = True                # (re)start the metric at B = I, unscaled
     rho = 1.0
     if lam0 is not None and lam0.shape == (nlp.n_ineq,):
-        rho = max(rho, 1.5 * float(abs(lam0).max()) if lam0.size else 1.0)
         W_warm: Optional[list] = [int(i) for i in np.flatnonzero(lam0 > 1e-10)]
     else:
         W_warm = None
-    if mu0 is not None and mu0.size:
-        rho = max(rho, 1.5 * float(abs(mu0).max()))
 
-    best_x = best_lam = best_mu = best_eps = None
     just_reset = False
     status = SolveStatus.ITER_LIMIT
     it = 0
@@ -254,16 +250,11 @@ def solve_nlp(
         # Multipliers beyond this bound make a certificate numerically
         # vacuous: near kernel switch loci the QP can produce multipliers
         # of order 1/eps_machine whose complementarity products are pure
-        # round-off.  Such iterates are neither accepted as converged nor
-        # tracked as best; the solver keeps iterating until a meaningful
-        # certificate appears or the degenerate branch collapses to its
-        # exact limit.
+        # round-off.  Such iterates are not accepted as converged; the
+        # solver keeps iterating until a meaningful certificate appears or
+        # the degenerate branch collapses to its exact limit.
         grad_max = float(abs(grad_f).max())
-        sane = mult_scale <= 1e10 * (1.0 + grad_max)
-        converged = eps_ach <= eps_target and sane
-        if converged or best_x is None or (sane and eps_ach < best_eps):
-            best_x, best_lam, best_mu, best_eps = x.copy(), lam.copy(), mu.copy(), eps_ach
-        if converged:
+        if eps_ach <= eps_target and mult_scale <= 1e10 * (1.0 + grad_max):
             status = SolveStatus.CONVERGED
             break
 
@@ -394,6 +385,6 @@ def solve_nlp(
             break
 
     return NlpSolution(
-        x=best_x, lam=best_lam, mu=best_mu, epsilon_achieved=best_eps, status=status,
-        provenance=nlp.provenance, x_last=x.copy(), total_iterations=it,
+        x=x, lam=lam, mu=mu, epsilon_achieved=eps_ach, status=status,
+        provenance=nlp.provenance, total_iterations=it,
     )

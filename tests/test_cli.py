@@ -5,7 +5,7 @@ import pytest
 
 from mpvc.cli import main, run_grid, _grid_points
 from mpvc.nlp import solve_nlp
-from mpvc.problems import academic
+from mpvc.problems import academic, assemble_stiffness, ten_bar
 from mpvc.regularize import direct_nlp
 
 
@@ -49,16 +49,34 @@ def test_solve_direct_baseline_has_grade(tmp_path):
 
 
 def test_solve_direct_reports_iterations_run(tmp_path):
-    # this start ends LineSearchFail with its best iterate before the last
     x0 = np.array([13.0, -5.0])
     sol = solve_nlp(direct_nlp(academic()), x0, eps_target=1e-9)
-    assert not np.array_equal(sol.x, sol.x_last)
     run([
         "solve", "--problem", "academic", "--scheme", "none",
         "--x0", "13,-5", "--out", str(tmp_path),
     ])
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["inner_iterations"] == sol.total_iterations
+
+
+def test_solve_infeasible_end_exits_1(tmp_path):
+    # ten-bar-gld seed 7 instance 8, LOCAL: the run ends with every product
+    # G_i H_i near 0 but full violation 1.0, so it is not converged
+    prob = ten_bar()
+    geo = prob.meta["geometry"]
+    a = np.array([0.9424181063030086, 1.5918454674164109, 0.6593860649321641,
+                  0.7085891236308867, 1.693483592841475, 1.692968440745225,
+                  0.6160947941932851, 1.5426983099486664, 0.5874053019547494,
+                  1.8531417645037416])
+    x0 = np.concatenate([a, np.linalg.solve(assemble_stiffness(geo, a), geo.load)])
+    code = run([
+        "solve", "--problem", "ten_bar", "--scheme", "local",
+        "--x0=" + ",".join(map(repr, x0.tolist())), "--out", str(tmp_path),
+    ])
+    assert code == 1
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["termination"] == "InnerFailure"
+    assert result["full_violation"] > 1e-6
 
 
 def write_config(tmp_path, driver):

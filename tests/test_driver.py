@@ -4,7 +4,7 @@ import pytest
 from mpvc import driver, nlp
 from mpvc.driver import DriverConfig, StopReason, solve_mpvc
 from mpvc.errors import ParameterError
-from mpvc.model import max_vio
+from mpvc.model import full_violation, max_vio
 from mpvc.nlp import SolverLimits, SolveStatus
 from mpvc.problems import academic, assemble_stiffness, ten_bar
 from mpvc.regularize import Scheme
@@ -72,19 +72,24 @@ def test_driver_deterministic():
     assert r1.trace.total_inner_iterations == r2.trace.total_inner_iterations
 
 
+def ten_bar_start(a):
+    # areas a, displacements u = K(a)^-1 f
+    prob = ten_bar()
+    geo = prob.meta["geometry"]
+    a = np.asarray(a)
+    return prob, np.concatenate([a, np.linalg.solve(assemble_stiffness(geo, a), geo.load)])
+
+
 def test_ten_bar_lshaped_elastic_qps_finish(monkeypatch):
     # A ten-bar start (areas drawn in [0.5, 2], displacements K(a)^-1 f) on
     # which LSHAPED entered elastic mode and its elastic QPs hit their
     # iteration cap while their slack bounds were KKT rows: with 500 SQP
     # iterations the solve took about 40 s, with 80 an inner solve ended
     # IterLimit.
-    prob = ten_bar()
-    geo = prob.meta["geometry"]
-    a = np.array([1.9517671268326802, 0.795152721510259, 1.7477422543582701,
-                  1.1574740490816837, 1.6648815120774199, 1.4831495857484427,
-                  0.7328328094840528, 1.3466532414047663, 0.5334930711183679,
-                  0.870229215508942])
-    x0 = np.concatenate([a, np.linalg.solve(assemble_stiffness(geo, a), geo.load)])
+    prob, x0 = ten_bar_start([
+        1.9517671268326802, 0.795152721510259, 1.7477422543582701, 1.1574740490816837,
+        1.6648815120774199, 1.4831495857484427, 0.7328328094840528, 1.3466532414047663,
+        0.5334930711183679, 0.870229215508942])
     capped = []
     elastic = nlp.solve_qp_elastic
 
@@ -105,15 +110,12 @@ def test_ten_bar_lshaped_elastic_qps_finish(monkeypatch):
 def test_ten_bar_lshaped_inner_solves_converge():
     # A ten-bar start (areas drawn in [0.5, 2], displacements K(a)^-1 f)
     # whose t = 0.1 LSHAPED solve accepts a long run of steps that barely
-    # reduce the violation, then converges after 51 iterations: a solve
-    # that keeps accepting steps must not end as LineSearchFail.
-    prob = ten_bar()
-    geo = prob.meta["geometry"]
-    a = np.array([1.5369760953357268, 1.1903606396085047, 1.2405399437113844,
-                  1.7713761588403578, 1.4854132291812607, 1.7967579255117339,
-                  0.885734647997364, 1.1672657461139055, 1.1565989589697359,
-                  1.0883948660046427])
-    x0 = np.concatenate([a, np.linalg.solve(assemble_stiffness(geo, a), geo.load)])
+    # reduce the violation, then converges: a solve that keeps accepting
+    # steps must not end as LineSearchFail.
+    prob, x0 = ten_bar_start([
+        1.5369760953357268, 1.1903606396085047, 1.2405399437113844, 1.7713761588403578,
+        1.4854132291812607, 1.7967579255117339, 0.885734647997364, 1.1672657461139055,
+        1.1565989589697359, 1.0883948660046427])
     res = solve_mpvc(prob, DriverConfig(scheme=Scheme.LSHAPED), x0)
     assert [r.inner_status for r in res.trace.records] == [SolveStatus.CONVERGED] * 2
     assert res.trace.reason is StopReason.FEASIBILITY
@@ -154,3 +156,43 @@ def test_eps_inner_reaches_inner_solves(monkeypatch):
     res = solve_mpvc(academic(), config, np.array([10.0, 10.0]))
     assert len(targets) == res.trace.outer_iterations >= 2
     assert targets == [1e-3] * len(targets)
+
+
+def test_continues_from_the_point_it_warm_starts_with(monkeypatch):
+    # ten-bar-gld seed 7 instance 13: its first inner solve (t = 1) ends
+    # IterLimit/500, and the next one still starts from that solve's x
+    # with its lam
+    prob, x0 = ten_bar_start([
+        1.6599554596651733, 1.0489749004080895, 1.715537309457467, 0.9102045696187764,
+        1.388805747266152, 0.6378956313895601, 0.8772226951104536, 1.0755481130493594,
+        0.6147131274910839, 0.7420442901749132])
+    calls = []
+    solve_nlp = driver.solve_nlp
+
+    def recording_solve_nlp(nlp, x, **kwargs):
+        sol = solve_nlp(nlp, x, **kwargs)
+        calls.append((np.array(x), kwargs.get("lam0"), sol))
+        return sol
+
+    monkeypatch.setattr(driver, "solve_nlp", recording_solve_nlp)
+    res = solve_mpvc(prob, DriverConfig(scheme=Scheme.LSHAPED), x0)
+    assert calls[0][2].status is SolveStatus.ITER_LIMIT
+    assert len(calls) == res.trace.outer_iterations >= 2
+    for (_, _, prev), (x, lam0, _) in zip(calls, calls[1:]):
+        assert np.array_equal(x, prev.x)
+        assert np.array_equal(lam0, prev.lam)
+    assert np.array_equal(res.x, calls[-1][2].x)
+
+
+def test_infeasible_end_is_not_feasibility():
+    # ten-bar-gld seed 7 instance 8, LOCAL: nine LineSearchFail solves end
+    # at f = 0 with every product G_i H_i near 0 (max_vio ~ 1e-16) but full
+    # violation 1.0
+    prob, x0 = ten_bar_start([
+        0.9424181063030086, 1.5918454674164109, 0.6593860649321641, 0.7085891236308867,
+        1.693483592841475, 1.692968440745225, 0.6160947941932851, 1.5426983099486664,
+        0.5874053019547494, 1.8531417645037416])
+    res = solve_mpvc(prob, DriverConfig(scheme=Scheme.LOCAL), x0)
+    assert res.trace.records[-1].inner_status is not SolveStatus.CONVERGED
+    assert full_violation(prob, res.x) > 1e-6
+    assert res.trace.reason is StopReason.INNER_FAILURE

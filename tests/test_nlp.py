@@ -3,7 +3,7 @@ import pytest
 
 from mpvc.errors import ParameterError, PreconditionError
 from mpvc.nlp import SolveStatus, SolverLimits, check_eps_stationary, solve_nlp
-from mpvc.problems import counterexamples
+from mpvc.problems import academic, counterexamples
 from mpvc.regularize import Nlp, Scheme, regularize
 
 
@@ -51,10 +51,17 @@ def test_equality_determined():
 
 
 def test_lshaped_counterexample_run():
+    # R(0.1) of lshaped_weak is unbounded below: the family's point is
+    # eps_of_t(0.1)-stationary, and a tight target runs off to infinity
     fam = counterexamples()[0]
     nlp = regularize(fam.problem, Scheme.LSHAPED, 0.1)
-    sol = solve_nlp(nlp, np.array([0.01, 0.09]), eps_target=1e-8)
-    assert sol.epsilon_achieved <= 1e-2
+    eps = fam.eps_of_t(0.1)
+    sol = solve_nlp(nlp, fam.x_of_t(0.1), eps_target=eps)
+    assert sol.status is SolveStatus.CONVERGED
+    ok, bd = check_eps_stationary(nlp, sol.x, sol.lam, sol.mu, eps)
+    assert ok, bd
+    sol = solve_nlp(nlp, fam.x_of_t(0.1), eps_target=1e-8)
+    assert sol.status is SolveStatus.DIVERGED
 
 
 def test_convex_qp_with_licq_recovered_exactly():
@@ -116,7 +123,7 @@ def test_determinism():
     a = solve_nlp(nlp, np.array([0.3, 0.2]), eps_target=1e-9)
     b = solve_nlp(nlp, np.array([0.3, 0.2]), eps_target=1e-9)
     assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.x_last, b.x_last)
+    assert np.array_equal(a.lam, b.lam)
     assert a.total_iterations == b.total_iterations
     assert a.epsilon_achieved == b.epsilon_achieved
 
@@ -128,20 +135,27 @@ def rosenbrock(x):
 
 
 class TestExits:
-    """Every exit of solve_nlp reports the final iterate and the work done."""
+    """Every exit of solve_nlp reports the final iterate, the multipliers of
+    its last QP and the work done."""
 
     def test_converged(self):
         sol = solve_nlp(bound_problem(), np.array([5.0]), eps_target=1e-8)
         assert sol.status is SolveStatus.CONVERGED
-        assert np.array_equal(sol.x_last, sol.x)
+        ok, bd = check_eps_stationary(bound_problem(), sol.x, sol.lam, sol.mu, 1e-8)
+        assert ok, bd
         assert 1 <= sol.total_iterations < SolverLimits().max_iter
 
     def test_iter_limit(self):
+        # the last iteration steps from its QP's point, the iterate before
+        # x, whose gradient is then the epsilon reported (no rows)
         nlp = simple_nlp(objective=rosenbrock, n=2)
-        sol = solve_nlp(nlp, np.array([-1.2, 1.0]), limits=SolverLimits(max_iter=3))
+        x0 = np.array([-1.2, 1.0])
+        before = solve_nlp(nlp, x0, limits=SolverLimits(max_iter=2))
+        sol = solve_nlp(nlp, x0, limits=SolverLimits(max_iter=3))
         assert sol.status is SolveStatus.ITER_LIMIT
         assert sol.total_iterations == 3
-        assert not np.array_equal(sol.x_last, sol.x)
+        assert not np.array_equal(sol.x, before.x)
+        assert sol.epsilon_achieved == float(abs(rosenbrock(before.x)[1]).max())
 
     def test_linesearch_fail(self):
         # x <= -1 and x >= 1 cannot both hold
@@ -151,7 +165,8 @@ class TestExits:
         )
         sol = solve_nlp(nlp, np.array([3.0]), eps_target=1e-8)
         assert sol.status is SolveStatus.LINESEARCH_FAIL
-        assert sol.x_last.shape == (1,)
+        ok, bd = check_eps_stationary(nlp, sol.x, sol.lam, sol.mu, sol.epsilon_achieved)
+        assert ok, bd
         assert 1 < sol.total_iterations < SolverLimits().max_iter
 
     def test_diverged(self):
@@ -159,12 +174,26 @@ class TestExits:
         nlp = simple_nlp(objective=lambda x: (-float(x[0]), np.array([-1.0])))
         sol = solve_nlp(nlp, np.array([0.0]))
         assert sol.status is SolveStatus.DIVERGED
-        assert abs(sol.x_last[0]) > 1e10
+        assert abs(sol.x[0]) > 1e10
         assert sol.total_iterations < SolverLimits().max_iter
 
     def test_no_iterations_rejected(self):
         with pytest.raises(ParameterError):
             SolverLimits(max_iter=0)
+
+
+def test_warm_multipliers_only_pick_rows():
+    # lam0 seeds the first QP's working set; its size must not reach the
+    # merit penalty
+    nlp = regularize(academic(), Scheme.LSHAPED, 0.1)
+    x0 = np.array([10.0, 10.0])
+    a = solve_nlp(nlp, x0, lam0=np.ones(nlp.n_ineq))
+    b = solve_nlp(nlp, x0, lam0=1e31 * np.ones(nlp.n_ineq))
+    assert a.status is SolveStatus.CONVERGED
+    assert (b.status, b.total_iterations) == (a.status, a.total_iterations)
+    for field in ("x", "lam", "mu"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert a.epsilon_achieved == b.epsilon_achieved
 
 
 def test_non_finite_start_rejected():

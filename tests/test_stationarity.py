@@ -29,7 +29,6 @@ def make_solution(nlp, x, lam, mu=None):
         epsilon_achieved=0.0,
         status=SolveStatus.CONVERGED,
         provenance=nlp.provenance,
-        x_last=np.asarray(x, float),
         total_iterations=1,
     )
 
@@ -127,7 +126,6 @@ class TestRecovery:
             epsilon_achieved=0.0,
             status=SolveStatus.CONVERGED,
             provenance=None,
-            x_last=np.zeros(2),
             total_iterations=1,
         )
         with pytest.raises(PreconditionError):

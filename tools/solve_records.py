@@ -8,14 +8,13 @@ mode, with perfbench's own inputs and solve sequence (``make_instances``
 and ``solve_timed`` in ``perfbench/bench.py``: the four schemes through
 ``solve_mpvc``, the direct baseline through ``solve_nlp``, then multiplier
 recovery and grading).  It prints one sha256 per workload over these
-records: the answer and the last iterate as float hex, the inner statuses,
-SQP iterations and epsilons, and the grade.  It then solves the aerothermo
-N=8 fixture of acceptance criterion 6 (K_e x6, ``max_iter=400``, about 12 s)
-in every mode and prints one plain-text line per mode, with the inner
-statuses and iterations and the final f, and one sha256 over the final
-points.  Run it from each checkout: it imports the ``src/`` and
-``perfbench/`` next to it, with one BLAS thread, since the thread count can
-change the rounding.
+records: the answer as float hex, the inner statuses, SQP iterations and
+epsilons, and the grade.  It then solves the aerothermo N=8 fixture of
+acceptance criterion 6 (K_e x6, ``max_iter=400``, about 12 s) in every
+mode and prints one plain-text line per mode, with the inner statuses and
+iterations and the final f, and one sha256 over the final points.  Run it
+from each checkout: it imports the ``src/`` and ``perfbench/`` next to it,
+with one BLAS thread, since the thread count can change the rounding.
 """
 from __future__ import annotations
 
@@ -46,15 +45,13 @@ def record(out: dict, mode: str) -> str:
     """One output of ``bench.solve_timed`` as a line of text."""
     if mode == "direct":
         sol = out["sol"]
-        x_last = _hex(sol.x_last)
         inner = f"{sol.status.value}/{sol.total_iterations}/{_hex(sol.epsilon_achieved)}"
     else:
         res = out["res"]
-        x_last = _hex(res.last_solution.x_last) if res.last_solution is not None else "-"
         inner = " ".join(f"{r.inner_status.value}/{r.inner_iterations}/{_hex(r.eps_achieved)}"
                          for r in res.trace.records)
         inner = f"{res.trace.reason.value} {inner}"
-    return f"{mode} {_hex(out['x'])} {x_last} {inner} {out['grade'].label()}"
+    return f"{mode} {_hex(out['x'])} {inner} {out['grade'].label()}"
 
 
 def main() -> int:
