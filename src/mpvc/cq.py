@@ -96,7 +96,7 @@ def check_mpvc_licq(
 ) -> CqReport:
     """MPVC-LICQ via the smallest singular value of the table's columns."""
     x = problem.check_point(x)
-    A, kind = weak_stationarity_table(problem, x, tau_act)
+    A, kind, _ = weak_stationarity_table(problem, x, tau_act)
     holds, cert = pli_probe([], list(A.T[kind > 0]), tau_rank)
     return CqReport("MPVC-LICQ", holds, cert, tau_rank)
 
@@ -109,7 +109,7 @@ def check_mpvc_mfcq(
 ) -> CqReport:
     """MPVC-MFCQ via the positive-linear-independence probe."""
     x = problem.check_point(x)
-    A, kind = weak_stationarity_table(problem, x, tau_act)
+    A, kind, _ = weak_stationarity_table(problem, x, tau_act)
     holds, cert = pli_probe(list(A.T[kind == 2]), list(A.T[kind == 1]), tau)
     return CqReport("MPVC-MFCQ", holds, cert, tau)
 

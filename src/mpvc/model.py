@@ -177,16 +177,17 @@ def full_violation(problem: MpvcProblem, x: np.ndarray) -> float:
     for points feasible for the MPVC.
     """
     x = problem.check_point(x)
+    return violation(problem.g(x)[0], problem.h(x)[0], problem.G(x)[0], problem.H(x)[0])
+
+
+def violation(gv: np.ndarray, hv: np.ndarray, Gv: np.ndarray, Hv: np.ndarray) -> float:
+    """``full_violation`` from the values of g, h, G and H at the point."""
     worst = 0.0
-    gv, _ = problem.g(x)
     if gv.size:
         worst = max(worst, float(gv.max()))
-    hv, _ = problem.h(x)
     if hv.size:
         worst = max(worst, float(abs(hv).max()))
-    if problem.l:
-        Gv, _ = problem.G(x)
-        Hv, _ = problem.H(x)
+    if Gv.size:
         worst = max(worst, float((-Hv).max()))
         worst = max(worst, float((Gv * Hv).max()))
     return worst

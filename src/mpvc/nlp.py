@@ -144,6 +144,11 @@ def check_eps_stationary(
     return ok, bd
 
 
+def _evaluate(nlp: Nlp, x: np.ndarray):
+    """(f, grad f, g, Jg, h, Jh) at x."""
+    return (*nlp.objective(x), *nlp.ineq(x), *nlp.eq(x))
+
+
 def _l1_violation(g_vals: np.ndarray, h_vals: np.ndarray) -> float:
     v = 0.0
     if g_vals.size:
@@ -185,9 +190,7 @@ def solve_nlp(
     if x.shape != (nlp.n,):
         raise PreconditionError(f"x0 has shape {x.shape}, expected ({nlp.n},)")
 
-    f, grad_f = nlp.objective(x)
-    g_vals, Jg = nlp.ineq(x)
-    h_vals, Jh = nlp.eq(x)
+    f, grad_f, g_vals, Jg, h_vals, Jh = _evaluate(nlp, x)
     if not (
         math.isfinite(f)
         and np.isfinite(grad_f).all()
@@ -199,26 +202,25 @@ def solve_nlp(
     n = nlp.n
     eye = np.eye(n)             # never written to: B is rebound, not updated
     cholesky_shift = 1e-12 * eye
-    reset = True                # (re)start the metric at B = I, unscaled
+    B, scaled = eye, False      # the metric, (re)started at B = I unscaled
     rho = 1.0
+    # the last QP's working set; in elastic mode it keeps the slack rows:
+    # the elastic geometry repeats across iterations and rediscovering the
+    # active slacks dominates the cost otherwise
+    W: Optional[list] = None
     if lam0 is not None and lam0.shape == (nlp.n_ineq,):
-        W_warm: Optional[list] = [int(i) for i in np.flatnonzero(lam0 > 1e-10)]
-    else:
-        W_warm = None
+        W = [int(i) for i in np.flatnonzero(lam0 > 1e-10)]
 
     just_reset = False
     status = SolveStatus.ITER_LIMIT
     it = 0
     viol0 = _l1_violation(g_vals, h_vals)
-    elastic_mode = False
+    elastic_pen = None          # set on entering elastic mode
 
     while it < limits.max_iter:
         it += 1
-        if reset:
-            B = eye
-            scaled = reset = False
-        if not elastic_mode:
-            qp = solve_qp(B, grad_f, Jh, -h_vals, Jg, -g_vals, W0=W_warm)
+        if elastic_pen is None:
+            qp = solve_qp(B, grad_f, Jh, -h_vals, Jg, -g_vals, W0=W)
             if qp.status == "infeasible":
                 # stay in elastic mode for the rest of the solve; with a
                 # sufficient penalty it reproduces exact QP solutions, so
@@ -226,19 +228,12 @@ def solve_nlp(
                 # The penalty is frozen at entry: the relaxed rows'
                 # multipliers saturate at the penalty value, and feeding
                 # them back through the merit penalty would spiral.
-                elastic_mode = True
-                W_elastic = W_warm
                 elastic_pen = 10.0 * (rho + 1.0)
-        if elastic_mode:
+        if elastic_pen is not None:
             qp = solve_qp_elastic(
-                B, grad_f, Jh, -h_vals, Jg, -g_vals, penalty=elastic_pen, W0=W_elastic
+                B, grad_f, Jh, -h_vals, Jg, -g_vals, penalty=elastic_pen, W0=W
             )
-            # keep the expanded working set (slack rows included): the
-            # elastic geometry repeats across iterations and rediscovering
-            # the active slacks dominates the cost otherwise
-            W_elastic = qp.working_set
-        d, lam, mu = qp.x, qp.lam, qp.mu
-        W_warm = [i for i in qp.working_set if i < nlp.n_ineq]
+        d, lam, mu, W = qp.x, qp.lam, qp.mu, qp.working_set
 
         bd = stationarity_breakdown(grad_f, g_vals, Jg, h_vals, Jh, lam, mu)
         eps_ach = epsilon_from_breakdown(bd)
@@ -295,9 +290,7 @@ def solve_nlp(
             step_vec = d
             for _ in range(_LS_MAX):
                 x_t = x + alpha * step_vec
-                f_t, grad_t = nlp.objective(x_t)
-                g_t, Jg_t = nlp.ineq(x_t)
-                h_t, Jh_t = nlp.eq(x_t)
+                f_t, grad_t, g_t, Jg_t, h_t, Jh_t = _evaluate(nlp, x_t)
                 ok = (
                     math.isfinite(f_t)
                     and np.isfinite(g_t).all()
@@ -317,9 +310,10 @@ def solve_nlp(
                     soc_tried = True
                     rows = [Jh] if nlp.n_eq else []
                     rhs = [-h_t] if nlp.n_eq else []
-                    if W_warm and ok:
-                        rows.append(Jg[W_warm])
-                        rhs.append(-g_t[W_warm])
+                    Wg = [i for i in W if i < nlp.n_ineq]
+                    if Wg and ok:
+                        rows.append(Jg[Wg])
+                        rhs.append(-g_t[Wg])
                     if rows and ok:
                         C = np.vstack(rows)
                         r = np.concatenate(rhs)
@@ -335,7 +329,8 @@ def solve_nlp(
             if just_reset:
                 status = SolveStatus.LINESEARCH_FAIL
                 break
-            reset = just_reset = True
+            B, scaled = eye, False
+            just_reset = True
             continue
         just_reset = False
 
@@ -370,12 +365,12 @@ def solve_nlp(
                 Bs = B @ s
                 B = B - Bs[:, None] * Bs / sBs + y[:, None] * y / sy
             if not abs(B).max() <= 1e10:         # also true on NaN and inf
-                reset = True
+                B, scaled = eye, False
             else:
                 try:
                     np.linalg.cholesky(B + cholesky_shift)
                 except np.linalg.LinAlgError:
-                    reset = True
+                    B, scaled = eye, False
 
         x, f, grad_f, viol0 = x_t, f_t, grad_t, viol_new
         g_vals, Jg = g_t, Jg_t

@@ -15,8 +15,8 @@ least-squares solve on the equalities, and the phase-1 point.  A point
 satisfies the equalities to ``1e-7 * scale``, the tolerance at which the
 least-squares point counts as consistent, and the inequalities to
 ``1e-9 * scale``, with ``scale = 1 + max|b_in| + max|b_eq|``.
-Equality-constrained subproblems are solved through the KKT system with an
-SVD fallback for degenerate working sets.
+Equality-constrained subproblems are solved through the KKT system, by a
+least-squares solve of that system for degenerate working sets.
 
 When the warm point violates an inequality and no ``x0`` is given, the
 warm set grows (a crash start): the most violated row joins it, lowest
@@ -71,15 +71,12 @@ class QpResult:
 
 def _eqp(B: np.ndarray, c: np.ndarray, C: np.ndarray, d: np.ndarray):
     """min 1/2 x^T B x + c^T x s.t. C x = d; returns (x, y) with y the
-    multipliers of the rows of C.  Handles rank-deficient C via SVD."""
+    multipliers of the rows of C, from an LU solve of the KKT system.  When
+    that raises or misses C x = d (a degenerate working set: rank-deficient
+    C), the least-squares solve of the same system gives x and, on a
+    consistent system, the minimum-norm y."""
     n = B.shape[0]
     k = C.shape[0]
-    if k == 0:
-        try:
-            return np.linalg.solve(B, -c), np.zeros(0)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(B, -c, rcond=None)[0], np.zeros(0)
-    # Fast path: direct KKT solve.
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = B
     kkt[:n, n:] = C.T
@@ -90,35 +87,17 @@ def _eqp(B: np.ndarray, c: np.ndarray, C: np.ndarray, d: np.ndarray):
         x, y = sol[:n], sol[n:]
         if np.isfinite(sol).all():
             # scale >= 1: a residual within 1e-9 needs no scale
-            resid = abs(C @ x - d).max()
+            resid = abs(C @ x - d).max() if k else 0.0
             if resid <= 1e-9:
                 return x, y
-            scale = 1.0 + float(abs(d).max()) if d.size else 1.0
+            scale = 1.0 + float(abs(d).max())
             scale += float(abs(x).max()) * float(abs(C).max()) if C.size else 0.0
             if resid <= 1e-9 * scale:
                 return x, y
     except np.linalg.LinAlgError:
         pass
-    # Degenerate working set: null-space method on the SVD of C.
-    U, s, Vt = np.linalg.svd(C, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int((s > max(smax, 1.0) * 1e-13).sum())
-    if rank == 0:
-        x_p = np.zeros(n)
-    else:
-        x_p = Vt[:rank].T @ ((U[:, :rank].T @ d) / s[:rank])
-    Z = Vt[rank:].T
-    if Z.shape[1] > 0:
-        Hr = Z.T @ B @ Z
-        try:
-            u = np.linalg.solve(Hr, -Z.T @ (c + B @ x_p))
-        except np.linalg.LinAlgError:    # singular reduced Hessian: min-norm u
-            u = np.linalg.lstsq(Hr, -Z.T @ (c + B @ x_p), rcond=None)[0]
-        x = x_p + Z @ u
-    else:
-        x = x_p
-    y = np.linalg.lstsq(C.T, -(c + B @ x), rcond=None)[0]
-    return x, y
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    return sol[:n], sol[n:]
 
 
 def _eqp_w(B, c, A_all, b_all, eq_rows, W, nb):
@@ -201,8 +180,8 @@ def solve_qp(
                 trial = _eqp_w(B, c, A_all, b_all, eq_rows, W_try, nb)
             except np.linalg.LinAlgError:
                 break
-            # on inconsistent equalities the SVD fallback of _eqp returns a
-            # least-squares point
+            # on inconsistent equalities the least-squares KKT solve of _eqp
+            # returns a point off them
             if not np.isfinite(trial[0]).all() or (p and abs(A_eq @ trial[0] - b_eq).max() > eq_tol):
                 break
             viol = A_in @ trial[0] - b_in
@@ -278,10 +257,12 @@ def solve_qp(
         x = x + alpha * delta
         if blocker >= 0:
             W.append(blocker)
-            if p + len(W) > n:
-                # Working set saturated; drop the row with the smallest
-                # multiplier estimate to restore room.
-                W.pop(int(lam_W.argmin()) if lam_W.size else 0)
+            if p + len(W) > n and lam_W.size:
+                # Working set saturated; drop the previous set's row with the
+                # smallest multiplier estimate to restore room.  Without one
+                # (dependent equality rows, p >= n) the blocker stays: _eqp
+                # solves the dependent system by least squares.
+                W.pop(int(lam_W.argmin()))
     # At the iteration cap W may have changed since the last subproblem; its
     # multiplier estimates are still reported, rather than zeros, so that
     # the caller's stationarity accounting stays sane.

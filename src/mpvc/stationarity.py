@@ -34,7 +34,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import PreconditionError
-from .model import MpvcProblem, full_violation, pair_classes
+from .model import MpvcProblem, pair_classes, violation
 from .nlp import NlpSolution
 from .qp import solve_qp
 from .regularize import KERNELS, Scheme, kernel_rows
@@ -137,22 +137,24 @@ _PAIR_CODES = np.array([[0, 2], [0, 0], [1, 0], [1, 2], [2, 0]])
 
 def weak_stationarity_table(
     problem: MpvcProblem, x: np.ndarray, tau_act: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weak stationarity at x as ``(A, kind)`` over z = [lam; mu; etaH; etaG].
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Weak stationarity at x as ``(A, kind, vio)`` over z = [lam; mu; etaH; etaG].
 
     ``grad f + A @ z`` is the gradient-equation residual (column -grad H_i
     for etaH_i), and ``kind`` holds the support code of each entry of z
     under the index sets banded with tau_act: 0 held at zero, 1 free,
-    2 nonnegative (lam on the active inequalities; mu is free).
+    2 nonnegative (lam on the active inequalities; mu is free).  ``vio`` is
+    ``model.full_violation`` at x, from the same evaluations.
     """
     gv, Jg = problem.g(x)
+    hv, Jh = problem.h(x)
     Gv, JG = problem.G(x)
     Hv, JH = problem.H(x)
-    At = np.concatenate((Jg, problem.h(x)[1], -JH, JG))     # row j is column j of A
+    At = np.concatenate((Jg, Jh, -JH, JG))  # row j is column j of A
     pairs = _PAIR_CODES[pair_classes(Gv, Hv, tau_act)]
     kind = np.concatenate((np.where(gv >= -tau_act, 2, 0), np.ones(problem.p, dtype=int),
                            pairs.T.ravel()))
-    return At.T, kind
+    return At.T, kind, violation(gv, hv, Gv, Hv)
 
 
 def classify(
@@ -164,7 +166,8 @@ def classify(
     """Grade (x, mult) as NotWeak / Weak / T / M / S.
 
     All conditions are checked against tau_eff = tau * (1 + ||grad f||_inf),
-    which also bands the index sets; the grade is raised along the chain
+    which also bands the index sets and bounds the point's full violation
+    (beyond it the grade is NotWeak); the grade is raised along the chain
     Weak -> T -> M -> S only while every lower check passes, so reports
     always respect the implication ordering.
     """
@@ -175,7 +178,7 @@ def classify(
     scale = float(abs(grad_f).max()) if grad_f.size else 0.0
     tau_eff = tau * (1.0 + scale)
 
-    A, kind = weak_stationarity_table(problem, x, tau_eff)
+    A, kind, vio = weak_stationarity_table(problem, x, tau_eff)
     z = mult.lam.tolist() + mult.mu.tolist() + mult.eta_H.tolist() + mult.eta_G.tolist()
     resid = grad_f + A @ z
     stat = float(abs(resid).max()) if resid.size else 0.0
@@ -188,7 +191,7 @@ def classify(
     products = [float(mult.eta_G[i] * mult.eta_H[i]) for i in I_00]
 
     grade = Grade.NOT_WEAK
-    if stat <= tau_eff and support <= tau_eff and sign <= tau_eff:
+    if vio <= tau_eff and stat <= tau_eff and support <= tau_eff and sign <= tau_eff:
         grade = Grade.WEAK
         if all(p <= tau_eff for p in products):
             grade = Grade.T
@@ -224,10 +227,10 @@ def find_multipliers(
     (full_violation <= 1e-4).
     """
     x = problem.check_point(x)
-    if full_violation(problem, x) > 1e-4:
+    A, kind, vio = weak_stationarity_table(problem, x, tau_act)
+    if vio > 1e-4:
         raise PreconditionError("find_multipliers needs an approximately feasible point")
     _, grad_f = problem.f(x)
-    A, kind = weak_stationarity_table(problem, x, tau_act)
     z = np.zeros(kind.size)
     resid = grad_f
     fit = kind.nonzero()[0]

@@ -61,7 +61,8 @@ def test_solve_direct_reports_iterations_run(tmp_path):
 
 def test_solve_infeasible_end_exits_1(tmp_path):
     # ten-bar-gld seed 7 instance 8, LOCAL: the run ends with every product
-    # G_i H_i near 0 but full violation 1.0, so it is not converged
+    # G_i H_i near 0 but full violation 1.0, so it is not converged, and a
+    # point that infeasible is not weakly stationary whatever its multipliers
     prob = ten_bar()
     geo = prob.meta["geometry"]
     a = np.array([0.9424181063030086, 1.5918454674164109, 0.6593860649321641,
@@ -77,6 +78,7 @@ def test_solve_infeasible_end_exits_1(tmp_path):
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["termination"] == "InnerFailure"
     assert result["full_violation"] > 1e-6
+    assert result["grade"] == "NotWeak"
 
 
 def write_config(tmp_path, driver):

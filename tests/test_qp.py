@@ -151,8 +151,8 @@ def test_optimal_warm_set_solves_one_eqp(monkeypatch):
 
 
 def test_inconsistent_equalities_with_warm_set_are_infeasible():
-    # x1 = 0 and x1 = 1: the SVD fallback puts the warm EQP point at
-    # x1 = 0.5, which satisfies the inequality but neither equality
+    # x1 = 0 and x1 = 1: the least-squares KKT solve puts the warm EQP point
+    # at x1 = 0.5, which satisfies the inequality but neither equality
     A_eq = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     b_eq = np.array([0.0, 1.0])
     A_in = np.array([[0.0, 1.0, 0.0]])
@@ -162,9 +162,9 @@ def test_inconsistent_equalities_with_warm_set_are_infeasible():
 
 
 def test_warm_point_off_the_equalities_is_not_a_start():
-    # x1 = 0 and x1 <= 1 with warm set {0}: the SVD fallback puts the warm
-    # EQP point at x1 = 0.5, which meets the inequality but not the equality,
-    # so the method must start from the least-squares point instead
+    # x1 = 0 and x1 <= 1 with warm set {0}: the least-squares KKT solve puts
+    # the warm EQP point at x1 = 0.5, which meets the inequality but not the
+    # equality, so the method must start from the least-squares point instead
     A = np.array([[1.0, 0.0, 0.0]])
     qp_data = (np.eye(3), np.array([-3.0, 0.0, 0.0]), A, np.zeros(1), A, np.ones(1))
     res = solve_qp(*qp_data, W0=[0])
@@ -200,7 +200,7 @@ def test_elastic_matches_exact_when_feasible():
 
 def test_eqp_with_singular_reduced_hessian():
     # the duplicated row makes the KKT matrix singular, and B vanishes on the
-    # null space of C, so the null-space step is the minimum-norm one
+    # null space of C: the least-squares KKT solve still meets C x = d
     C = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     d = np.array([1.0, 1.0])
     x, _ = qp._eqp(np.diag([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), C, d)
@@ -211,7 +211,8 @@ def test_eqp_with_singular_reduced_hessian():
 def test_eqp_accepts_lu_residual_within_scaled_tolerance(monkeypatch):
     # A consistent system with max|x| * max|C| ~ 3e6 and a stiff B: the LU
     # solution misses C x = d by ~2e-7, above 1e-9 but far below 1e-9 * scale
-    # (~4e-3), so it is accepted as is and the SVD fallback never runs.
+    # (~4e-3), so it is accepted as is and the least-squares fallback never
+    # runs.
     B = np.diag([1e4, 1e7, 1e-7])
     c = np.array([-28440960700.0, 14305966100.0, -35626121800.0])
     C = np.array([[371.0, 301.0, 377.0], [-222.0, -730.0, 443.0]])
@@ -222,16 +223,16 @@ def test_eqp_accepts_lu_residual_within_scaled_tolerance(monkeypatch):
     resid = abs(C @ x_lu - d).max()
     scale = 1.0 + abs(d).max() + abs(x_lu).max() * abs(C).max()
     assert 1e-8 < resid < 1e-5 < 1e-9 * scale
-    svd_calls = []
-    svd = np.linalg.svd
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
 
-    def counting_svd(*args, **kwargs):
-        svd_calls.append(1)
-        return svd(*args, **kwargs)
+    def counting_lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     x, y = qp._eqp(B, c, C, d)
-    assert not svd_calls
+    assert not lstsq_calls
     assert np.array_equal(x, x_lu) and np.array_equal(y, sol[3:])
 
 
@@ -432,3 +433,19 @@ def test_duplicated_equalities_are_infeasible_at_once(nested_qps):
     res = solve_qp(np.eye(2), np.zeros(2), A_eq, b_eq, A_in, b_in)
     assert res.status == "infeasible" and res.iterations == 0
     assert nested_qps == []
+
+
+@pytest.mark.parametrize("W0", [None, [0]])
+def test_dependent_equalities_keep_the_blocking_row(W0):
+    # x1 + x2 = 0 written twice (p = n = 2) and x1 <= 0: from x = 0 the EQP
+    # step to (4, -4) is blocked at once by x1 <= 0.  The saturated set
+    # holds no earlier row to drop, so the blocker stays, and the dependent
+    # KKT system gives x = 0 with lam = 8 and mu summing to -3.
+    A_eq = np.array([[1.0, 1.0], [1.0, 1.0]])
+    data = (np.eye(2), np.array([-5.0, 3.0]), A_eq, np.zeros(2), np.array([[1.0, 0.0]]), np.zeros(1))
+    res = solve_qp(*data, W0=W0)
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, np.zeros(2), atol=1e-12)
+    np.testing.assert_allclose(res.lam, [8.0], atol=1e-9)
+    np.testing.assert_allclose(res.mu.sum(), -3.0, atol=1e-9)
+    assert kkt_ok(*data, res)

@@ -1,15 +1,16 @@
 """Property tests of the active-set QP: the starting point and the starting
 working set choose only the path, never the optimum of a strictly convex
 QP, phase 1 finds a feasible point exactly when one exists (the projection
-of its start, which the projection QP confirms in one iteration), and
-bounds passed as bounds give the optimum of the same bounds passed as rows."""
+of its start, which the projection QP confirms in one iteration), bounds
+passed as bounds give the optimum of the same bounds passed as rows, and
+an equality-constrained subproblem with dependent rows is still solved."""
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from mpvc.qp import _project, solve_qp  # noqa: E402
+from mpvc.qp import _eqp, _project, solve_qp  # noqa: E402
 from test_qp import kkt_ok, record_nested_qps  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -160,3 +161,23 @@ def test_bounds_as_bounds_match_bounds_as_rows(dims, k, warm):
         assert kkt_ok(*qp, bounded)
         np.testing.assert_allclose(bounded.x, explicit.x, atol=1e-8)
         np.testing.assert_allclose(no_start.x, explicit.x, atol=1e-8)
+
+
+@SETTINGS
+@given(sizes, st.booleans())
+def test_eqp_solves_consistent_dependent_rows(dims, duplicate):
+    # C has rank r < k: an extra row that copies one row of an independent
+    # set, or combines all of them, inserted anywhere; d = C x_f holds it
+    n, r, _, seed = dims
+    r += 1
+    rng = np.random.default_rng(seed)
+    C = rng.normal(size=(r, n))
+    extra = C[rng.integers(r)] if duplicate else rng.normal(size=r) @ C
+    C = np.insert(C, rng.integers(r + 1), extra, axis=0)
+    d = C @ rng.normal(size=n)
+    B, c = convex_objective(rng, n)
+    x, y = _eqp(B, c, C, d)
+    scale = 1.0 + abs(c).max() + abs(d).max() + abs(x).max() * (abs(B).max() + abs(C).max())
+    scale += abs(y).max() * abs(C).max()
+    assert abs(C @ x - d).max() <= 1e-9 * scale
+    assert abs(B @ x + c + C.T @ y).max() <= 1e-9 * scale

@@ -90,7 +90,7 @@ class TestRecovery:
             grad_L = grad_f + J_in.T @ lam + J_eq.T @ mu
             terms = np.abs(grad_f) + np.abs(J_in.T) @ lam + np.abs(J_eq.T) @ np.abs(mu)
             scale = 1.0 + np.max(terms)
-            A, _ = weak_stationarity_table(prob, x, 1e-8)
+            A, _, _ = weak_stationarity_table(prob, x, 1e-8)
             resid = grad_f + A @ np.concatenate((mult.lam, mult.mu, mult.eta_H, mult.eta_G))
             assert np.max(np.abs(resid - grad_L)) <= 1e-12 * scale, (prob.name, x, t)
             np.testing.assert_array_equal(mult.lam, lam[nlp.provenance.rows_g])
@@ -261,7 +261,7 @@ class TestWeakStationarityTable:
         rng = np.random.default_rng(5)
         for (prob, x), tau_act in itertools.product(self.points(3), (1e-8, 0.5, 3.0)):
             ix = index_sets(prob, x, tau_act)
-            A, kind = weak_stationarity_table(prob, x, tau_act)
+            A, kind, _ = weak_stationarity_table(prob, x, tau_act)
             k = prob.m + prob.p + 2 * prob.l
             assert A.shape == (prob.n, k) and kind.shape == (k,)
             held = {self.position(prob, slot) for slot in self.off_table(prob, ix)}
