@@ -10,9 +10,10 @@ when
     g_i(x) <= eps,  lam_i >= -eps,  |g_i(x) lam_i| <= eps,  |h_i(x)| <= eps.
 
 ``solve_nlp`` drives a damped-BFGS SQP with an l1-merit line search and a
-primal active-set QP; inconsistent linearizations fall back to an elastic
-QP.  Each ``SolveStatus`` has one exit; a solve returns where it ended,
-with its last QP's multipliers.  ``epsilon_achieved`` is always accounted
+primal active-set QP; an iteration whose QP is inconsistent takes the step
+of an elastic QP instead, and the next iteration tries the plain QP again.
+Each ``SolveStatus`` has one exit; a solve returns where it ended, with its
+last QP's multipliers.  ``epsilon_achieved`` is always accounted
 in exactly the terms above, not from solver-internal norms, so a Converged
 result is a certificate that ``check_eps_stationary`` accepts.
 """
@@ -102,16 +103,6 @@ def stationarity_breakdown(
         "multiplier_sign": sign,
         "complementarity": comp,
     }
-
-
-def epsilon_from_breakdown(bd: dict) -> float:
-    return max(
-        bd["stationarity"],
-        bd["feasibility_ineq"],
-        bd["feasibility_eq"],
-        bd["multiplier_sign"],
-        bd["complementarity"],
-    )
 
 
 def check_eps_stationary(
@@ -204,9 +195,8 @@ def solve_nlp(
     cholesky_shift = 1e-12 * eye
     B, scaled = eye, False      # the metric, (re)started at B = I unscaled
     rho = 1.0
-    # the last QP's working set; in elastic mode it keeps the slack rows:
-    # the elastic geometry repeats across iterations and rediscovering the
-    # active slacks dominates the cost otherwise
+    # the last QP's working set; after an elastic QP it keeps the slack
+    # rows, which the next elastic QP reuses and the plain QP skips
     W: Optional[list] = None
     if lam0 is not None and lam0.shape == (nlp.n_ineq,):
         W = [int(i) for i in np.flatnonzero(lam0 > 1e-10)]
@@ -215,28 +205,18 @@ def solve_nlp(
     status = SolveStatus.ITER_LIMIT
     it = 0
     viol0 = _l1_violation(g_vals, h_vals)
-    elastic_pen = None          # set on entering elastic mode
 
     while it < limits.max_iter:
         it += 1
-        if elastic_pen is None:
-            qp = solve_qp(B, grad_f, Jh, -h_vals, Jg, -g_vals, W0=W)
-            if qp.status == "infeasible":
-                # stay in elastic mode for the rest of the solve; with a
-                # sufficient penalty it reproduces exact QP solutions, so
-                # nothing is lost if the linearization turns consistent.
-                # The penalty is frozen at entry: the relaxed rows'
-                # multipliers saturate at the penalty value, and feeding
-                # them back through the merit penalty would spiral.
-                elastic_pen = 10.0 * (rho + 1.0)
-        if elastic_pen is not None:
-            qp = solve_qp_elastic(
-                B, grad_f, Jh, -h_vals, Jg, -g_vals, penalty=elastic_pen, W0=W
-            )
+        qp = solve_qp(B, grad_f, Jh, -h_vals, Jg, -g_vals, W0=W)
+        if qp.status == "infeasible":
+            # an inconsistent linearization: this iteration's step is elastic
+            qp = solve_qp_elastic(B, grad_f, Jh, -h_vals, Jg, -g_vals,
+                                  penalty=10.0 * (rho + 1.0), W0=W)
         d, lam, mu, W = qp.x, qp.lam, qp.mu, qp.working_set
 
         bd = stationarity_breakdown(grad_f, g_vals, Jg, h_vals, Jh, lam, mu)
-        eps_ach = epsilon_from_breakdown(bd)
+        eps_ach = max(bd.values())
         mult_scale = 0.0
         if lam.size:
             mult_scale = max(mult_scale, float(abs(lam).max()))
@@ -255,10 +235,9 @@ def solve_nlp(
 
         # Max-multiplier penalty rule for the l1 merit function, with the
         # chase bounded: near degenerate loci the QP multipliers diverge
-        # and following them freezes the line search.  Exact-penalty
-        # descent is still guaranteed by the explicit check below, which
-        # raises rho further when the direction calls for it.  The decay
-        # branch recovers after drastic overshoot.
+        # and following them freezes the line search.  A step that is then
+        # no merit-descent direction goes to the fresh-metric retry below.
+        # The decay branch recovers after drastic overshoot.
         rho_req = 1.01 * min(mult_scale, 1e6 * (1.0 + grad_max)) + 1e-6
         if rho < rho_req:
             rho = max(rho_req, 1.5 * rho)
@@ -278,9 +257,6 @@ def solve_nlp(
 
         viol_lin = _l1_violation(g_vals + Jg @ d, h_vals + Jh @ d)
         descent = float(grad_f @ d) - rho * (viol0 - viol_lin)
-        if descent > -1e-14 * (1.0 + abs(f)) and viol0 - viol_lin > 1e-14 * (1.0 + viol0):
-            rho *= 10.0
-            descent = float(grad_f @ d) - rho * (viol0 - viol_lin)
 
         accepted = False
         if descent <= -1e-14 * (1.0 + abs(f)):

@@ -124,13 +124,19 @@ class _Physics:
 def aerothermo(N: int = 30, constants: Optional[dict] = None) -> MpvcProblem:
     """Transcribed re-entry problem on ``N`` implicit-Euler intervals.
 
-    ``constants`` overrides entries of the JSON fixture defaults.
+    ``constants`` overrides entries of the JSON fixture defaults; a key the
+    fixture lacks, or a value that ``float()`` rejects, is a ParameterError.
     """
     if N < 2:
         raise ParameterError(f"aerothermo needs N >= 2 intervals, got {N}")
     consts = default_constants()
-    if constants:
-        consts.update(constants)
+    for key, value in (constants or {}).items():
+        if key not in consts:
+            raise ParameterError(f"unknown aerothermo constant {key!r}")
+        try:
+            consts[key] = float(value)
+        except (TypeError, ValueError):
+            raise ParameterError(f"aerothermo constant {key!r} is not a number: {value!r}") from None
     phys = _Physics(consts)
 
     n_states = 4 * N

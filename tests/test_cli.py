@@ -157,9 +157,13 @@ def test_direct_solve_reads_max_inner_iter(tmp_path):
     (["solve", "--problem", "aerothermo", "--nodes", "1"], {}),
     (["bench", "--x0", "1,2"], {}),
     (["check", "--x0", "0,5", "--scheme", "local"], {}),
+    (["solve", "--problem", "aerothermo", "--nodes", "2"], {"aerothermo_constants": {"K_E": 5.0}}),
+    (["check", "--problem", "aerothermo", "--nodes", "2", "--x0", "0"],
+     {"aerothermo_constants": {"K_e": "abc"}}),
 ], ids=["unknown-top-level-key", "constants-off-aerothermo", "grid-unknown-driver-key",
         "grid-ten-bar", "config-not-an-object", "nodes-off-aerothermo", "grid-nodes",
-        "nodes-zero", "nodes-one", "bench-x0", "check-scheme"])
+        "nodes-zero", "nodes-one", "bench-x0", "check-scheme", "unknown-constant",
+        "constant-not-a-number"])
 def test_usage_error(tmp_path, args, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

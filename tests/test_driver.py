@@ -91,16 +91,25 @@ def test_ten_bar_lshaped_elastic_qps_finish(monkeypatch):
         1.6648815120774199, 1.4831495857484427, 0.7328328094840528, 1.3466532414047663,
         0.5334930711183679, 0.870229215508942])
     capped = []
-    elastic = nlp.solve_qp_elastic
+    infeasible = []
+    plain, elastic = nlp.solve_qp, nlp.solve_qp_elastic
+
+    def counting_plain(*args, **kwargs):
+        res = plain(*args, **kwargs)
+        infeasible.append(res.status == "infeasible")
+        return res
 
     def counting_elastic(*args, **kwargs):
         res = elastic(*args, **kwargs)
         capped.append(res.status == "max_iter")
         return res
 
+    monkeypatch.setattr(nlp, "solve_qp", counting_plain)
     monkeypatch.setattr(nlp, "solve_qp_elastic", counting_elastic)
     config = DriverConfig(scheme=Scheme.LSHAPED, limits=SolverLimits(max_iter=80))
     res = solve_mpvc(prob, config, x0)
+    # an elastic QP runs exactly in the iterations whose plain QP is inconsistent
+    assert len(capped) == sum(infeasible)
     assert sum(capped) == 0
     assert all(r.inner_status is not SolveStatus.ITER_LIMIT for r in res.trace.records)
     assert res.trace.reason is StopReason.FEASIBILITY

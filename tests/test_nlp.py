@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpvc import nlp as nlp_mod
 from mpvc.errors import ParameterError, PreconditionError
 from mpvc.nlp import SolveStatus, SolverLimits, check_eps_stationary, solve_nlp
 from mpvc.problems import academic, counterexamples
@@ -48,6 +49,37 @@ def test_equality_determined():
     assert sol.status is SolveStatus.CONVERGED
     np.testing.assert_allclose(sol.x, [0.0, 0.0], atol=1e-10)
     np.testing.assert_allclose(sol.mu, [-1.0, -1.0], atol=1e-8)
+
+
+def test_elastic_step_only_where_the_linearization_is_inconsistent(monkeypatch):
+    # min (x1 - 2)^2 + x2^2 s.t. x1^2 - 1 = 0: at x1 = 0 the constraint
+    # gradient vanishes, so the first linearization -1 = 0 is inconsistent;
+    # every later one is consistent and gets a plain QP step
+    prob = simple_nlp(
+        objective=lambda x: (float((x[0] - 2.0) ** 2 + x[1] ** 2),
+                             np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]])),
+        eq=lambda x: (np.array([x[0] ** 2 - 1.0]), np.array([[2.0 * x[0], 0.0]])),
+        n=2,
+    )
+    verdicts, elastic_calls = [], []
+    plain, elastic = nlp_mod.solve_qp, nlp_mod.solve_qp_elastic
+
+    def counting_plain(*args, **kwargs):
+        res = plain(*args, **kwargs)
+        verdicts.append(res.status)
+        return res
+
+    def counting_elastic(*args, **kwargs):
+        elastic_calls.append(1)
+        return elastic(*args, **kwargs)
+
+    monkeypatch.setattr(nlp_mod, "solve_qp", counting_plain)
+    monkeypatch.setattr(nlp_mod, "solve_qp_elastic", counting_elastic)
+    sol = solve_nlp(prob, np.array([0.0, 0.5]), eps_target=1e-8)
+    assert sol.status is SolveStatus.CONVERGED
+    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-8)
+    assert verdicts.count("infeasible") == 1
+    assert len(elastic_calls) == 1
 
 
 def test_lshaped_counterexample_run():
