@@ -47,8 +47,10 @@ def _load_config(path, problem_name: str) -> dict:
     if path is None:
         return {}
     config = json.loads(Path(path).read_text())
-    if not isinstance(config, dict) or not isinstance(config.get("driver", {}), dict):
-        raise ValueError("the config file and its \"driver\" entry must be JSON objects")
+    if not isinstance(config, dict) or not all(
+        isinstance(config.get(key, {}), dict) for key in ("driver", "aerothermo_constants")
+    ):
+        raise ValueError("the config file and its entries must be JSON objects")
     allowed = {"driver", "aerothermo_constants"} if problem_name == "aerothermo" else {"driver"}
     unknown = set(config) - allowed
     if unknown:

@@ -1,23 +1,19 @@
 """Outer regularization loop.
 
-Starting from x0 with parameter t0, repeat while t_k >= t_min and
-max_vio(x_k) > tol: solve the regularized problem R(t_k) warm-started at
-x_k, take its solution as x_{k+1}, shrink t_{k+1} = sigma * t_k.  The final
-iterate is returned whether or not it is feasible.  Each inner solve
-starts where the previous one ended, its first QP working set seeded by
-that solve's multipliers, also after an inner failure (homotopy with the
-smaller t usually self-heals).  The reason is FeasibilityReached only
-when the final iterate satisfies every MPVC constraint (full_violation <=
-tol), else InnerFailure if the last inner solve failed and TminReached if
-it converged.
+Starting from x0 with parameter t0, repeat while t_k >= t_min and the
+last inner solve failed, full_violation(x_k) > tol, or x_k is not weakly
+stationary (``grade_at`` at tau = 1e-6): solve the regularized problem
+R(t_k) warm-started at x_k, take its solution as x_{k+1}, shrink
+t_{k+1} = sigma * t_k.  The final iterate is returned whether or not it is
+feasible.  Each inner solve starts where the previous one ended, its first
+QP working set seeded by that solve's multipliers, also after an inner
+failure (homotopy with the smaller t usually self-heals).  The reason is
+FeasibilityReached only when the final iterate satisfies every MPVC
+constraint (full_violation <= tol), else InnerFailure if the last inner
+solve failed and TminReached if it converged.
 
-One nuance: max_vio only measures the products G_i H_i, so it is
-non-positive at every feasible point and at many infeasible ones (negative
-coordinates satisfy the products trivially).  A literal pre-checked loop
-would therefore never move from feasible starts at all.  The loop instead
-exits before the first solve only when the start is feasible for the full
-MPVC *and* already weakly stationary; otherwise at least one regularized
-solve runs, and the stated while-condition governs every later iteration.
+One nuance: max_vio, which measures only the products G_i H_i and is
+non-positive at many infeasible points, is recorded but does not end the loop.
 
 At the defaults (t0 = 1, sigma = 0.1, t_min = 1e-8, tol = 1e-6) the loop
 body runs at most ceil(log(t_min / t0) / log sigma) + 1 = 9 times.
@@ -153,20 +149,15 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
     lam_warm = None
     last_sol: Optional[NlpSolution] = None
     last_t: Optional[float] = None
-    # feasible and weakly stationary: nothing for the loop to do
-    skip_all = (
-        full_violation(problem, x) <= config.tol and grade_at(problem, x, 1e-6) >= Grade.WEAK
-    )
     last_failed = False
 
-    # The feasibility exit applies to iterates the inner solver actually
-    # certified; after an inner failure the policy is to keep the last
-    # iterate, shrink t and continue, since the next regularized problem
-    # usually frees a stuck iterate (degenerate loci move with t).
-    while (
-        not skip_all
-        and t >= config.t_min
-        and (k == 0 or last_failed or max_vio(problem, x) > config.tol)
+    # After an inner failure the policy is to keep the last iterate, shrink
+    # t and continue, since the next regularized problem usually frees a
+    # stuck iterate (degenerate loci move with t).
+    while t >= config.t_min and (
+        last_failed
+        or full_violation(problem, x) > config.tol
+        or grade_at(problem, x, 1e-6) < Grade.WEAK
     ):
         nlp = regularize(problem, config.scheme, t)
         sol = solve_nlp(
@@ -196,8 +187,6 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
         t = t * config.sigma
         k += 1
 
-    # max_vio ends the loop, but it measures only the products G_i H_i; a
-    # run is feasible only if every MPVC constraint holds.
     if full_violation(problem, x) <= config.tol:
         trace.reason = StopReason.FEASIBILITY
     elif last_failed:

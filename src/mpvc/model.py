@@ -158,7 +158,7 @@ def index_sets(problem: MpvcProblem, x: np.ndarray, tau_act: float = 1e-8) -> In
 
 
 def max_vio(problem: MpvcProblem, x: np.ndarray) -> float:
-    """max_i G_i(x) H_i(x); the feasibility measure of the outer loop.
+    """max_i G_i(x) H_i(x), recorded for each outer iteration.
 
     May be negative when every product is.  Returns 0.0 for l = 0.
     """

@@ -157,6 +157,11 @@ def weak_stationarity_table(
     return At.T, kind, violation(gv, hv, Gv, Hv)
 
 
+def _band(grad_f: np.ndarray, tau: float) -> float:
+    """tau_eff = tau * (1 + ||grad f||_inf)."""
+    return tau * (1.0 + float(abs(grad_f).max(initial=0.0)))
+
+
 def classify(
     problem: MpvcProblem,
     x: np.ndarray,
@@ -175,8 +180,7 @@ def classify(
         raise PreconditionError("tau must be positive")
     x = problem.check_point(x)
     _, grad_f = problem.f(x)
-    scale = float(abs(grad_f).max()) if grad_f.size else 0.0
-    tau_eff = tau * (1.0 + scale)
+    tau_eff = _band(grad_f, tau)
 
     A, kind, vio = weak_stationarity_table(problem, x, tau_eff)
     z = mult.lam.tolist() + mult.mu.tolist() + mult.eta_H.tolist() + mult.eta_G.tolist()
@@ -222,9 +226,10 @@ def find_multipliers(
     Minimizes the 2-norm of the gradient-equation residual over the entries
     of z that ``weak_stationarity_table`` does not hold at zero (index sets
     banded with tau_act), subject to their sign constraints; every other
-    multiplier is 0.  Returns the fitted multipliers and the inf-norm of
-    the remaining residual.  Requires x approximately feasible
-    (full_violation <= 1e-4).
+    multiplier is 0.  A^T A gets the Tikhonov term 1e-14 * (1 + (A^T A)_jj)
+    on column j, scaled per column as in Marquardt (1963).  Returns the
+    fitted multipliers and the inf-norm of the remaining residual.
+    Requires x approximately feasible (full_violation <= 1e-4).
     """
     x = problem.check_point(x)
     A, kind, vio = weak_stationarity_table(problem, x, tau_act)
@@ -238,7 +243,7 @@ def find_multipliers(
         Af = A[:, fit]                                   # n x k
         k = fit.size
         AtA = Af.T @ Af
-        Bq = AtA + 1e-12 * (1.0 + AtA.trace()) * np.eye(k)
+        Bq = AtA + np.diag(1e-14 * (1.0 + AtA.diagonal()))
         signed = (kind[fit] == 2).nonzero()[0]
         A_in = np.zeros((signed.size, k))
         A_in[np.arange(signed.size), signed] = -1.0
@@ -251,9 +256,11 @@ def find_multipliers(
 
 
 def grade_at(problem: MpvcProblem, x: np.ndarray, tau: float) -> Grade:
-    """The grade of x under fitted multipliers; NotWeak where no fit exists."""
+    """The grade of x under multipliers fitted with classify's banding
+    tau_eff; NotWeak where no fit exists."""
+    _, grad_f = problem.f(problem.check_point(x))
     try:
-        mult, _ = find_multipliers(problem, x)
+        mult, _ = find_multipliers(problem, x, _band(grad_f, tau))
     except PreconditionError:
         return Grade.NOT_WEAK
     return classify(problem, x, mult, tau=tau).grade

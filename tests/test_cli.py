@@ -160,10 +160,12 @@ def test_direct_solve_reads_max_inner_iter(tmp_path):
     (["solve", "--problem", "aerothermo", "--nodes", "2"], {"aerothermo_constants": {"K_E": 5.0}}),
     (["check", "--problem", "aerothermo", "--nodes", "2", "--x0", "0"],
      {"aerothermo_constants": {"K_e": "abc"}}),
+    (["check", "--problem", "aerothermo", "--nodes", "2", "--x0", "0"],
+     {"aerothermo_constants": [1]}),
 ], ids=["unknown-top-level-key", "constants-off-aerothermo", "grid-unknown-driver-key",
         "grid-ten-bar", "config-not-an-object", "nodes-off-aerothermo", "grid-nodes",
         "nodes-zero", "nodes-one", "bench-x0", "check-scheme", "unknown-constant",
-        "constant-not-a-number"])
+        "constant-not-a-number", "constants-not-an-object"])
 def test_usage_error(tmp_path, args, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

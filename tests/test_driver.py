@@ -8,6 +8,7 @@ from mpvc.model import full_violation, max_vio
 from mpvc.nlp import SolverLimits, SolveStatus
 from mpvc.problems import academic, assemble_stiffness, ten_bar
 from mpvc.regularize import Scheme
+from mpvc.stationarity import Grade, grade_at
 
 
 def test_config_validation():
@@ -205,3 +206,18 @@ def test_infeasible_end_is_not_feasibility():
     assert res.trace.records[-1].inner_status is not SolveStatus.CONVERGED
     assert full_violation(prob, res.x) > 1e-6
     assert res.trace.reason is StopReason.INNER_FAILURE
+
+
+def test_feasible_but_not_weakly_stationary_iterate_does_not_stop():
+    # ten-bar seed 7 instance 6 (the seventh start of perfbench's
+    # make_instances), NONSMOOTH: its t = 0.1 solve converges to a feasible
+    # point with f = 8.237 that is not weakly stationary.  Feasibility of
+    # the products alone would stop there; the loop goes on to f = 8.
+    rng = np.random.default_rng([7, 1])
+    for _ in range(7):
+        a = rng.uniform(0.5, 2.0, size=10)
+    prob, x0 = ten_bar_start(a)
+    res = solve_mpvc(prob, DriverConfig(scheme=Scheme.NONSMOOTH), x0)
+    assert res.trace.reason is StopReason.FEASIBILITY
+    assert grade_at(prob, res.x, 1e-6) >= Grade.WEAK
+    assert res.f <= 8.01

@@ -9,13 +9,16 @@ from mpvc.errors import PreconditionError
 from mpvc.model import empty_vector_fn, MpvcProblem
 from mpvc.nlp import NlpSolution, SolveStatus, solve_nlp
 from mpvc.model import full_violation, index_sets
-from mpvc.problems import academic, counterexamples, ten_bar
+from mpvc.driver import DriverConfig, solve_mpvc
+from mpvc.nlp import SolverLimits
+from mpvc.problems import academic, aerothermo, counterexamples, ten_bar
 from mpvc.regularize import Scheme, regularize
 from mpvc.stationarity import (
     Grade,
     MpvcMultipliers,
     classify,
     find_multipliers,
+    grade_at,
     recover_mpvc_multipliers,
     weak_stationarity_table,
 )
@@ -398,3 +401,18 @@ class TestFindMultipliers:
             _, r1 = find_multipliers(prob, np.array(pt))
             _, r2 = find_multipliers(perm, np.array(pt))
             assert r1 == pytest.approx(r2, abs=1e-10)
+
+
+def test_grade_at_agrees_with_recovered_multipliers_on_aerothermo():
+    # The LSHAPED end point of the aerothermo N=2 fixture (K_e x6): the
+    # multipliers recovered from its last inner solve certify S.  A fit
+    # banded at a fixed 1e-8, or with a Tikhonov term scaled by trace(A^T A)
+    # instead of per column, leaves a residual above tau_eff there, so the
+    # point graded NotWeak.
+    prob = aerothermo(N=2, constants={"K_e": 6 * 1.7415e-4})
+    config = DriverConfig(scheme=Scheme.LSHAPED, limits=SolverLimits(max_iter=400))
+    res = solve_mpvc(prob, config, prob.known_points["x0"])
+    mult = recover_mpvc_multipliers(prob, Scheme.LSHAPED, res.last_t, res.last_solution)
+    recovered = classify(prob, res.x, mult, tau=1e-6).grade
+    assert recovered is Grade.S
+    assert grade_at(prob, res.x, 1e-6) == recovered

@@ -12,7 +12,9 @@ records: the answer as float hex, the inner statuses, SQP iterations and
 epsilons, and the grade.  It then solves the aerothermo N=8 fixture of
 acceptance criterion 6 (K_e x6, ``max_iter=400``, about 12 s) in every
 mode and prints one plain-text line per mode, with the inner statuses and
-iterations and the final f, and one sha256 over the final points.  Run it
+iterations and the final f, and one sha256 over the final points.  Last it
+prints the same lines, without a digest, for LOCAL and direct on
+aerothermo N=30 with the CLI's default constants (a few seconds each).  Run it
 from each checkout: it imports the ``src/`` and ``perfbench/`` next to it,
 with one BLAS thread, since the thread count can change the rounding.
 """
@@ -54,6 +56,23 @@ def record(out: dict, mode: str) -> str:
     return f"{mode} {_hex(out['x'])} {inner} {out['grade'].label()}"
 
 
+def aero_lines(mods: dict, prob, limits, modes) -> str:
+    """Print one line per mode for an aerothermo problem from its stored
+    start; returns the sha256 over the final points."""
+    digest = hashlib.sha256()
+    for mode in modes:
+        out = bench.solve_timed(mods, prob, prob.known_points["x0"], mode, limits)
+        if mode == "direct":
+            inner = [(out["sol"].status.value, out["sol"].total_iterations)]
+        else:
+            inner = [(r.inner_status.value, r.inner_iterations)
+                     for r in out["res"].trace.records]
+        print(f"aerothermo N={prob.meta['N']} {mode}: {' '.join(f'{s}/{i}' for s, i in inner)} "
+              f"its={out['iters']} f={prob.f(out['x'])[0]:.10g}")
+        digest.update(f"{mode} {_hex(out['x'])}\n".encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     mods = bench.load_modules()
     limits = mods["nlp"].SolverLimits()
@@ -67,19 +86,9 @@ def main() -> int:
               f"sha256={digest.hexdigest()}")
 
     prob = mods["problems"].aerothermo(N=8, constants=AERO_CONSTANTS)
-    limits = mods["nlp"].SolverLimits(max_iter=400)
-    digest = hashlib.sha256()
-    for mode in bench.ALL_MODES:
-        out = bench.solve_timed(mods, prob, prob.known_points["x0"], mode, limits)
-        if mode == "direct":
-            inner = [(out["sol"].status.value, out["sol"].total_iterations)]
-        else:
-            inner = [(r.inner_status.value, r.inner_iterations)
-                     for r in out["res"].trace.records]
-        print(f"aerothermo N=8 {mode}: {' '.join(f'{s}/{i}' for s, i in inner)} "
-              f"its={out['iters']} f={prob.f(out['x'])[0]:.10g}")
-        digest.update(f"{mode} {_hex(out['x'])}\n".encode())
-    print(f"aerothermo N=8 K_e x6 solves={len(bench.ALL_MODES)} sha256={digest.hexdigest()}")
+    digest = aero_lines(mods, prob, mods["nlp"].SolverLimits(max_iter=400), bench.ALL_MODES)
+    print(f"aerothermo N=8 K_e x6 solves={len(bench.ALL_MODES)} sha256={digest}")
+    aero_lines(mods, mods["problems"].aerothermo(N=30), limits, ("local", "direct"))
     return 0
 
 
