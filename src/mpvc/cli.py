@@ -9,8 +9,6 @@ Subcommands:
   attractor-bucket counts
 * ``check``  point diagnostics: index sets, fitted multipliers with the
   stationarity grade, MPVC-LICQ / MPVC-MFCQ reports, all as JSON
-* ``bench``  the benchmark suite (ten-bar truss across schemes plus the
-  certified counterexample oracles); writes a summary JSON
 
 Exit codes: 0 success, 1 solver failure, 2 usage error.  Grid starts can
 run in parallel (``--jobs``); rows are collected sorted by grid index so
@@ -31,10 +29,10 @@ import numpy as np
 from .driver import DriverConfig, StopReason, solve_mpvc
 from .errors import PreconditionError
 from .model import full_violation, index_sets, max_vio
-from .nlp import SolverLimits, SolveStatus, check_eps_stationary, solve_nlp
+from .nlp import SolverLimits, SolveStatus, solve_nlp
 from .cq import check_mpvc_licq, check_mpvc_mfcq
-from .problems import by_name, counterexamples
-from .regularize import Scheme, direct_nlp, regularize
+from .problems import by_name
+from .regularize import Scheme, direct_nlp
 from .stationarity import classify, find_multipliers, grade_at, recover_mpvc_multipliers
 
 BUCKET_RADIUS = 1e-3          # max-norm radius for attractor bucketing
@@ -108,13 +106,9 @@ def run_single(problem, scheme_name: str, driver_overrides: dict, x0):
         config = _driver_config(scheme, driver_overrides)
         res = solve_mpvc(problem, config, x0)
         x, trace = res.x, res.trace
-        if res.last_solution is not None:
-            mult = recover_mpvc_multipliers(
-                problem, scheme, res.last_t, res.last_solution, config.tau_act
-            )
-            grade = classify(problem, x, mult, tau=1e-4).grade.label()
-        else:
-            grade = grade_at(problem, x, 1e-4).label()
+        mult = None if res.last_solution is None else recover_mpvc_multipliers(
+            problem, scheme, res.last_t, res.last_solution, config.tau_act)
+        grade = grade_at(problem, x, 1e-4, recovered=mult).label()
         mode = {
             "outer_iterations": trace.outer_iterations,
             "inner_iterations": trace.total_inner_iterations,
@@ -255,35 +249,6 @@ def cmd_check(args, config: dict) -> int:
     return 0
 
 
-def cmd_bench(args, config: dict) -> int:
-    results = {"ten_bar": {}, "counterexamples": {}}
-    problem = by_name("ten_bar")
-    x0 = problem.known_points["x0"]
-    for scheme in ["global", "local", "lshaped", "nonsmooth", "none"]:
-        res, _ = run_single(problem, scheme, config.get("driver", {}), x0)
-        results["ten_bar"][scheme] = {
-            "f": res["f"],
-            "full_violation": res["full_violation"],
-            "outer_iterations": res["outer_iterations"],
-        }
-    for fam in counterexamples():
-        checks = {}
-        for t in (1e-1, 1e-2, 1e-3):
-            nlp = regularize(fam.problem, fam.scheme, t)
-            lam = np.zeros(nlp.n_ineq)
-            lam[nlp.provenance.rows_neg_H[0]] = fam.nu_of_t(t)
-            lam[nlp.provenance.rows_kernel[0]] = fam.delta_of_t(t)
-            ok, _ = check_eps_stationary(nlp, fam.x_of_t(t), lam, np.zeros(0), fam.eps_of_t(t))
-            checks[f"t={t:g}"] = bool(ok)
-        results["counterexamples"][fam.name] = checks
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "bench.json").write_text(json.dumps(results, indent=2))
-    print(json.dumps(results, indent=2))
-    ok = all(all(v.values()) for v in results["counterexamples"].values())
-    return 0 if ok else 1
-
-
 _FLAGS = {
     "problem": dict(default="academic", choices=["academic", "ten_bar", "aerothermo"]),
     "scheme": dict(default="global", choices=[s.value for s in Scheme] + ["none"]),
@@ -299,7 +264,6 @@ _COMMANDS = [
     ("solve", cmd_solve, ["problem", "scheme", "x0", "config", "out", "nodes"]),
     ("grid", cmd_grid, ["problem", "scheme", "grid", "config", "out", "jobs"]),
     ("check", cmd_check, ["problem", "x0", "config", "out", "nodes"]),
-    ("bench", cmd_bench, ["config", "out"]),
 ]
 _REQUIRED = {"grid": "grid", "check": "x0"}
 
@@ -324,7 +288,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "nodes", None) is not None and args.problem != "aerothermo":
             raise ValueError("--nodes needs --problem aerothermo")
-        return args.func(args, _load_config(args.config, getattr(args, "problem", "bench")))
+        return args.func(args, _load_config(args.config, args.problem))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

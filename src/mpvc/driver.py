@@ -2,7 +2,9 @@
 
 Starting from x0 with parameter t0, repeat while t_k >= t_min and the
 last inner solve failed, full_violation(x_k) > tol, or x_k is not weakly
-stationary (``grade_at`` at tau = 1e-6): solve the regularized problem
+stationary (``grade_at`` at tau = 1e-6 on the multipliers recovered from
+the inner solve that ended at x_k, with a multiplier fit where they grade
+below Weak and at x_0, before any solve): solve the regularized problem
 R(t_k) warm-started at x_k, take its solution as x_{k+1}, shrink
 t_{k+1} = sigma * t_k.  The final iterate is returned whether or not it is
 feasible.  Each inner solve starts where the previous one ended, its first
@@ -37,7 +39,7 @@ from .errors import ParameterError
 from .model import MpvcProblem, full_violation, max_vio
 from .nlp import NlpSolution, SolverLimits, SolveStatus, solve_nlp
 from .regularize import Scheme, regularize
-from .stationarity import Grade, grade_at
+from .stationarity import Grade, grade_at, recover_mpvc_multipliers
 
 
 class StopReason(Enum):
@@ -154,10 +156,13 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
     # After an inner failure the policy is to keep the last iterate, shrink
     # t and continue, since the next regularized problem usually frees a
     # stuck iterate (degenerate loci move with t).
+    vio = full_violation(problem, x)
     while t >= config.t_min and (
         last_failed
-        or full_violation(problem, x) > config.tol
-        or grade_at(problem, x, 1e-6) < Grade.WEAK
+        or vio > config.tol
+        or grade_at(problem, x, 1e-6, recovered=None if last_sol is None else
+                    recover_mpvc_multipliers(problem, config.scheme, last_t, last_sol,
+                                             config.tau_act)) < Grade.WEAK
     ):
         nlp = regularize(problem, config.scheme, t)
         sol = solve_nlp(
@@ -169,13 +174,14 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
         )
         x = sol.x
         f_val, _ = problem.f(x)
+        vio = full_violation(problem, x)
         trace.records.append(
             TraceRecord(
                 k=k,
                 t=t,
                 f=float(f_val),
                 max_vio=max_vio(problem, x),
-                full_vio=full_violation(problem, x),
+                full_vio=vio,
                 inner_status=sol.status,
                 inner_iterations=sol.total_iterations,
                 eps_achieved=sol.epsilon_achieved,
@@ -187,7 +193,7 @@ def solve_mpvc(problem: MpvcProblem, config: DriverConfig, x0: np.ndarray) -> Dr
         t = t * config.sigma
         k += 1
 
-    if full_violation(problem, x) <= config.tol:
+    if vio <= config.tol:
         trace.reason = StopReason.FEASIBILITY
     elif last_failed:
         trace.reason = StopReason.INNER_FAILURE

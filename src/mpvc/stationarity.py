@@ -22,9 +22,11 @@ MPVC-LICQ / MPVC-MFCQ checks in ``cq`` read them.
 ``recover_mpvc_multipliers`` maps the multipliers (nu, delta) of a solved
 regularized problem back to MPVC multipliers through the kernel gradient
 coefficients (c_G, c_H), masked for GLOBAL where the support codes hold a
-multiplier at zero; ``classify`` grades any multiplier set; and
+multiplier at zero; ``classify`` grades any multiplier set;
 ``find_multipliers`` fits multipliers directly by sign-constrained linear
-least squares when none are available (e.g. for the direct baseline).
+least squares when none are available (e.g. for the direct baseline); and
+``grade_at`` grades a point from one table, by recovered multipliers where
+they reach Weak and by the fit elsewhere.
 """
 from __future__ import annotations
 
@@ -159,7 +161,43 @@ def weak_stationarity_table(
 
 def _band(grad_f: np.ndarray, tau: float) -> float:
     """tau_eff = tau * (1 + ||grad f||_inf)."""
+    if tau <= 0:
+        raise PreconditionError("tau must be positive")
     return tau * (1.0 + float(abs(grad_f).max(initial=0.0)))
+
+
+def _report(problem: MpvcProblem, table: tuple, grad_f: np.ndarray, z: np.ndarray,
+            tau_eff: float) -> StationarityReport:
+    """``classify`` of z = [lam; mu; etaH; etaG] on the table at tau_eff."""
+    A, kind, vio = table
+    resid = grad_f + A @ z
+    stat = float(abs(resid).max()) if resid.size else 0.0
+    zs, codes = z.tolist(), kind.tolist()
+    support = max([0.0] + [abs(v) for v, c in zip(zs, codes) if c == 0])
+    sign = max([0.0] + [-v for v, c in zip(zs, codes) if c == 2])
+
+    code_H, code_G = kind[problem.m + problem.p :].reshape(2, -1)
+    eta_H, eta_G = z[problem.m + problem.p :].reshape(2, -1)
+    I_00 = np.flatnonzero((code_H == 1) & (code_G == 2))
+    products = [float(eta_G[i] * eta_H[i]) for i in I_00]
+
+    grade = Grade.NOT_WEAK
+    if vio <= tau_eff and stat <= tau_eff and support <= tau_eff and sign <= tau_eff:
+        grade = Grade.WEAK
+        if all(p <= tau_eff for p in products):
+            grade = Grade.T
+            if all(abs(p) <= tau_eff for p in products):
+                grade = Grade.M
+                if all(abs(eta_G[i]) <= tau_eff and eta_H[i] >= -tau_eff for i in I_00):
+                    grade = Grade.S
+    return StationarityReport(
+        grade=grade,
+        stationarity_residual=stat,
+        worst_sign_violation=sign,
+        worst_support_violation=support,
+        biactive_products=products,
+        tau=tau_eff,
+    )
 
 
 def classify(
@@ -176,44 +214,29 @@ def classify(
     Weak -> T -> M -> S only while every lower check passes, so reports
     always respect the implication ordering.
     """
-    if tau <= 0:
-        raise PreconditionError("tau must be positive")
     x = problem.check_point(x)
     _, grad_f = problem.f(x)
     tau_eff = _band(grad_f, tau)
+    z = np.concatenate((mult.lam, mult.mu, mult.eta_H, mult.eta_G))
+    return _report(problem, weak_stationarity_table(problem, x, tau_eff), grad_f, z, tau_eff)
 
-    A, kind, vio = weak_stationarity_table(problem, x, tau_eff)
-    z = mult.lam.tolist() + mult.mu.tolist() + mult.eta_H.tolist() + mult.eta_G.tolist()
-    resid = grad_f + A @ z
-    stat = float(abs(resid).max()) if resid.size else 0.0
-    codes = kind.tolist()
-    support = max([0.0] + [abs(v) for v, c in zip(z, codes) if c == 0])
-    sign = max([0.0] + [-v for v, c in zip(z, codes) if c == 2])
 
-    code_H, code_G = kind[problem.m + problem.p :].reshape(2, -1)
-    I_00 = np.flatnonzero((code_H == 1) & (code_G == 2))
-    products = [float(mult.eta_G[i] * mult.eta_H[i]) for i in I_00]
-
-    grade = Grade.NOT_WEAK
-    if vio <= tau_eff and stat <= tau_eff and support <= tau_eff and sign <= tau_eff:
-        grade = Grade.WEAK
-        if all(p <= tau_eff for p in products):
-            grade = Grade.T
-            if all(abs(p) <= tau_eff for p in products):
-                grade = Grade.M
-                if all(
-                    abs(mult.eta_G[i]) <= tau_eff and mult.eta_H[i] >= -tau_eff
-                    for i in I_00
-                ):
-                    grade = Grade.S
-    return StationarityReport(
-        grade=grade,
-        stationarity_residual=stat,
-        worst_sign_violation=sign,
-        worst_support_violation=support,
-        biactive_products=products,
-        tau=tau_eff,
-    )
+def _fit(A: np.ndarray, kind: np.ndarray, grad_f: np.ndarray) -> np.ndarray:
+    """The z of ``find_multipliers`` on the table's A and kind."""
+    z = np.zeros(kind.size)
+    fit = kind.nonzero()[0]
+    if fit.size:
+        Af = A[:, fit]                                   # n x k
+        k = fit.size
+        AtA = Af.T @ Af
+        Bq = AtA + np.diag(1e-14 * (1.0 + AtA.diagonal()))
+        signed = (kind[fit] == 2).nonzero()[0]
+        A_in = np.zeros((signed.size, k))
+        A_in[np.arange(signed.size), signed] = -1.0
+        res = solve_qp(Bq, Af.T @ grad_f, np.zeros((0, k)), np.zeros(0), A_in,
+                       np.zeros(signed.size), x0=np.zeros(k))
+        z[fit] = res.x
+    return z
 
 
 def find_multipliers(
@@ -236,31 +259,27 @@ def find_multipliers(
     if vio > 1e-4:
         raise PreconditionError("find_multipliers needs an approximately feasible point")
     _, grad_f = problem.f(x)
-    z = np.zeros(kind.size)
-    resid = grad_f
-    fit = kind.nonzero()[0]
-    if fit.size:
-        Af = A[:, fit]                                   # n x k
-        k = fit.size
-        AtA = Af.T @ Af
-        Bq = AtA + np.diag(1e-14 * (1.0 + AtA.diagonal()))
-        signed = (kind[fit] == 2).nonzero()[0]
-        A_in = np.zeros((signed.size, k))
-        A_in[np.arange(signed.size), signed] = -1.0
-        res = solve_qp(Bq, Af.T @ grad_f, np.zeros((0, k)), np.zeros(0), A_in,
-                       np.zeros(signed.size), x0=np.zeros(k))
-        z[fit] = res.x
-        resid = grad_f + A @ z
+    z = _fit(A, kind, grad_f)
+    resid = grad_f + A @ z
     mult = MpvcMultipliers(*np.split(z, np.cumsum([problem.m, problem.p, problem.l])))
     return mult, float(abs(resid).max()) if resid.size else 0.0
 
 
-def grade_at(problem: MpvcProblem, x: np.ndarray, tau: float) -> Grade:
-    """The grade of x under multipliers fitted with classify's banding
-    tau_eff; NotWeak where no fit exists."""
-    _, grad_f = problem.f(problem.check_point(x))
-    try:
-        mult, _ = find_multipliers(problem, x, _band(grad_f, tau))
-    except PreconditionError:
+def grade_at(problem: MpvcProblem, x: np.ndarray, tau: float,
+             recovered: MpvcMultipliers | None = None) -> Grade:
+    """The grade of x at classify's banding tau_eff, from one evaluation of
+    f and one table: that of the ``recovered`` multipliers where it is Weak
+    or better, else that of multipliers fitted as by ``find_multipliers``
+    (NotWeak where x is too infeasible to fit)."""
+    x = problem.check_point(x)
+    _, grad_f = problem.f(x)
+    tau_eff = _band(grad_f, tau)
+    table = A, kind, vio = weak_stationarity_table(problem, x, tau_eff)
+    if recovered is not None:
+        z = np.concatenate((recovered.lam, recovered.mu, recovered.eta_H, recovered.eta_G))
+        grade = _report(problem, table, grad_f, z, tau_eff).grade
+        if grade >= Grade.WEAK:
+            return grade
+    if vio > 1e-4:
         return Grade.NOT_WEAK
-    return classify(problem, x, mult, tau=tau).grade
+    return _report(problem, table, grad_f, _fit(A, kind, grad_f), tau_eff).grade

@@ -81,6 +81,28 @@ def test_solve_infeasible_end_exits_1(tmp_path):
     assert result["grade"] == "NotWeak"
 
 
+def test_solve_grades_by_the_fit_where_recovered_multipliers_fall_short(tmp_path):
+    # ten-bar-gld seed 701 instance 7 (perfbench's make_instances), LSHAPED:
+    # one Converged solve at t = 1 ends at a feasible point with f = 8
+    # where the multipliers recovered from it break a support condition by
+    # 0.2 (NotWeak), while fitted multipliers certify S
+    prob = ten_bar()
+    geo = prob.meta["geometry"]
+    rng = np.random.default_rng([701, 1])
+    for _ in range(8):
+        a = rng.uniform(0.5, 2.0, size=10)
+    x0 = np.concatenate([a, np.linalg.solve(assemble_stiffness(geo, a), geo.load)])
+    code = run([
+        "solve", "--problem", "ten_bar", "--scheme", "lshaped",
+        "--x0=" + ",".join(map(repr, x0.tolist())), "--out", str(tmp_path),
+    ])
+    assert code == 0
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["outer_iterations"] == 1
+    assert result["f"] == pytest.approx(8.0, abs=1e-6)
+    assert result["grade"] == "S"
+
+
 def write_config(tmp_path, driver):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"driver": driver}))
@@ -155,7 +177,6 @@ def test_direct_solve_reads_max_inner_iter(tmp_path):
     (["grid", "--nodes", "8", "--grid", "0,1,2,0,1,2"], {}),
     (["solve", "--problem", "aerothermo", "--nodes", "0"], {}),
     (["solve", "--problem", "aerothermo", "--nodes", "1"], {}),
-    (["bench", "--x0", "1,2"], {}),
     (["check", "--x0", "0,5", "--scheme", "local"], {}),
     (["solve", "--problem", "aerothermo", "--nodes", "2"], {"aerothermo_constants": {"K_E": 5.0}}),
     (["check", "--problem", "aerothermo", "--nodes", "2", "--x0", "0"],
@@ -164,7 +185,7 @@ def test_direct_solve_reads_max_inner_iter(tmp_path):
      {"aerothermo_constants": [1]}),
 ], ids=["unknown-top-level-key", "constants-off-aerothermo", "grid-unknown-driver-key",
         "grid-ten-bar", "config-not-an-object", "nodes-off-aerothermo", "grid-nodes",
-        "nodes-zero", "nodes-one", "bench-x0", "check-scheme", "unknown-constant",
+        "nodes-zero", "nodes-one", "check-scheme", "unknown-constant",
         "constant-not-a-number", "constants-not-an-object"])
 def test_usage_error(tmp_path, args, config):
     path = tmp_path / "config.json"

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from mpvc import driver, nlp
+from mpvc import driver, nlp, stationarity
 from mpvc.driver import DriverConfig, StopReason, solve_mpvc
 from mpvc.errors import ParameterError
 from mpvc.model import full_violation, max_vio
 from mpvc.nlp import SolverLimits, SolveStatus
 from mpvc.problems import academic, assemble_stiffness, ten_bar
 from mpvc.regularize import Scheme
-from mpvc.stationarity import Grade, grade_at
+from mpvc.stationarity import Grade, classify, grade_at, recover_mpvc_multipliers
 
 
 def test_config_validation():
@@ -221,3 +221,45 @@ def test_feasible_but_not_weakly_stationary_iterate_does_not_stop():
     assert res.trace.reason is StopReason.FEASIBILITY
     assert grade_at(prob, res.x, 1e-6) >= Grade.WEAK
     assert res.f <= 8.01
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_stop_test_fits_multipliers_only_at_the_start(monkeypatch, scheme):
+    # (0, 6) is feasible, with H_1 = 0, and not weakly stationary.  The
+    # start is graded by a multiplier fit; every later stop test grades the
+    # multipliers recovered from the inner solve that ended there, which
+    # certify the end point on academic without a fit.
+    events = []
+    fit_qp, solve_nlp = stationarity.solve_qp, driver.solve_nlp
+
+    def counting_fit_qp(*args, **kwargs):
+        events.append("fit")
+        return fit_qp(*args, **kwargs)
+
+    def counting_solve_nlp(*args, **kwargs):
+        events.append("solve")
+        return solve_nlp(*args, **kwargs)
+
+    monkeypatch.setattr(stationarity, "solve_qp", counting_fit_qp)
+    monkeypatch.setattr(driver, "solve_nlp", counting_solve_nlp)
+    res = solve_mpvc(academic(), DriverConfig(scheme=scheme), np.array([0.0, 6.0]))
+    assert res.trace.reason is StopReason.FEASIBILITY
+    assert events == ["fit"] + ["solve"] * res.trace.outer_iterations
+
+
+def test_stop_test_falls_back_to_the_fit():
+    # ten-bar seed 7 instance 53 (perfbench's make_instances), LSHAPED: the
+    # t = 1 solve converges to a feasible point with f = 8 where the
+    # recovered multipliers break a support condition by 0.2, while fitted
+    # multipliers certify S.  The loop stops there, after one solve.
+    rng = np.random.default_rng([7, 1])
+    for _ in range(54):
+        a = rng.uniform(0.5, 2.0, size=10)
+    prob, x0 = ten_bar_start(a)
+    res = solve_mpvc(prob, DriverConfig(scheme=Scheme.LSHAPED), x0)
+    assert res.trace.reason is StopReason.FEASIBILITY
+    assert res.trace.outer_iterations == 1
+    assert res.f == pytest.approx(8.0, abs=1e-6)
+    mult = recover_mpvc_multipliers(prob, Scheme.LSHAPED, res.last_t, res.last_solution)
+    assert classify(prob, res.x, mult, tau=1e-6).grade is Grade.NOT_WEAK
+    assert grade_at(prob, res.x, 1e-6, recovered=mult) is Grade.S

@@ -355,7 +355,9 @@ class TestFindMultipliers:
 
     def test_pair_evaluations_per_call(self):
         # classify evaluates G once; find_multipliers at most twice (the
-        # feasibility check and the table)
+        # feasibility check and the table); grade_at evaluates G and f
+        # once, also when recovered multipliers grade below Weak and it
+        # falls back to the fit
         truss = ten_bar()
         a0, u0 = np.split(truss.known_points["x0"], [truss.l])
         for prob, x in ((academic(), np.array([0.0, 5.0])),
@@ -364,14 +366,26 @@ class TestFindMultipliers:
             calls = []
 
             def G(x, G=prob.G):
-                calls.append(x)
+                calls.append("G")
                 return G(x)
 
-            counted = dataclasses.replace(prob, G=G)
+            def f(x, f=prob.f):
+                calls.append("f")
+                return f(x)
+
+            counted = dataclasses.replace(prob, G=G, f=f)
             mult, _ = find_multipliers(counted, x)
-            fit_calls = len(calls)
+            fit_calls = calls.count("G")
+            calls.clear()
             classify(counted, x, mult)
-            assert fit_calls <= 2 and len(calls) - fit_calls == 1, prob.name
+            assert fit_calls <= 2 and calls.count("G") == 1, prob.name
+            ones = MpvcMultipliers(*(np.ones_like(v) for v in
+                                     (mult.lam, mult.mu, mult.eta_H, mult.eta_G)))
+            assert classify(prob, x, ones, tau=1e-6).grade < Grade.WEAK
+            for recovered in (None, mult, ones):
+                calls.clear()
+                grade_at(counted, x, 1e-6, recovered)
+                assert sorted(calls) == ["G", "f"], (prob.name, recovered)
 
     def test_residual_invariant_under_row_permutation(self):
         # permuting the vanishing pairs must not change the fit residual
@@ -416,3 +430,18 @@ def test_grade_at_agrees_with_recovered_multipliers_on_aerothermo():
     recovered = classify(prob, res.x, mult, tau=1e-6).grade
     assert recovered is Grade.S
     assert grade_at(prob, res.x, 1e-6) == recovered
+    assert grade_at(prob, res.x, 1e-6, recovered=mult) == recovered
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_recovered_multipliers_never_lower_the_grade(scheme):
+    # driver end points at the academic reference points xo and xstar: the
+    # grade with the recovered multipliers is at least the fit's alone
+    prob = academic()
+    for x0, label in (([1.0, 1.0], "xo"), ([3.0, -2.0], "xo"),
+                      ([10.0, 10.0], "xstar"), ([-5.0, 20.0], "xstar")):
+        res = solve_mpvc(prob, DriverConfig(scheme=scheme), np.array(x0))
+        np.testing.assert_allclose(res.x, prob.known_points[label], atol=1e-3)
+        mult = recover_mpvc_multipliers(prob, scheme, res.last_t, res.last_solution)
+        for tau in (1e-6, 1e-4):
+            assert grade_at(prob, res.x, tau, recovered=mult) >= grade_at(prob, res.x, tau)
