@@ -12,7 +12,6 @@ two-variable problem, ten-bar truss design, re-entry heat-load optimal
 control, certified counterexample families) round out the package.
 """
 from .model import (
-    IndexSets,
     MpvcProblem,
     empty_vector_fn,
     full_violation,
@@ -51,7 +50,7 @@ from .cq import CqReport, check_licq, check_mfcq, check_mpvc_licq, check_mpvc_mf
 from .driver import DriverConfig, DriverResult, DriverTrace, StopReason, solve_mpvc
 
 __all__ = [
-    "MpvcProblem", "IndexSets", "index_sets", "max_vio", "full_violation",
+    "MpvcProblem", "index_sets", "max_vio", "full_violation",
     "empty_vector_fn",
     "Scheme", "Nlp", "RowProvenance", "regularize", "direct_nlp",
     "theta", "theta_prime", "kernel_global", "phi_su", "phi_ks", "phi_kdb",

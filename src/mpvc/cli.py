@@ -7,8 +7,9 @@ Subcommands:
 * ``grid``   a grid of independent starts of a two-variable problem; writes
   a per-start CSV plus a summary JSON with iteration totals and
   attractor-bucket counts
-* ``check``  point diagnostics: index sets, fitted multipliers with the
-  stationarity grade, MPVC-LICQ / MPVC-MFCQ reports, all as JSON
+* ``check``  point diagnostics: index sets and MPVC-LICQ / MPVC-MFCQ
+  reports banded with the config's ``tau_act``, and multipliers fitted
+  with the grade ``grade_at`` gives at tau = 1e-4, all as JSON
 
 Exit codes: 0 success, 1 solver failure, 2 usage error.  Grid starts can
 run in parallel (``--jobs``); rows are collected sorted by grid index so
@@ -221,19 +222,20 @@ def cmd_grid(args, config: dict) -> int:
 def cmd_check(args, config: dict) -> int:
     problem = _problem_from_args(args, config)
     x = _parse_x0(args.x0, problem.n)
-    # the "driver" keys are checked as for solve; check reads only tau_act
+    # the "driver" keys are checked as for solve; check reads only tau_act,
+    # for the index sets and CQ reports (the fit is banded as grade_at's)
     tau_act = _driver_config(Scheme.GLOBAL, config.get("driver", {})).tau_act
     report = {
         "problem": args.problem,
         "x": x.tolist(),
         "max_vio": max_vio(problem, x),
         "full_violation": full_violation(problem, x),
-        "index_sets": index_sets(problem, x, tau_act).as_dict(),
+        "index_sets": index_sets(problem, x, tau_act),
         "mpvc_licq": check_mpvc_licq(problem, x, tau_act).as_dict(),
         "mpvc_mfcq": check_mpvc_mfcq(problem, x, tau_act).as_dict(),
     }
     try:
-        mult, resid = find_multipliers(problem, x, tau_act)
+        mult, resid = find_multipliers(problem, x, tau=1e-4)
         rep = classify(problem, x, mult, tau=1e-4)
         report["multipliers"] = mult.as_dict()
         report["fit_residual"] = resid

@@ -28,7 +28,6 @@ to weak stationarity.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -104,33 +103,12 @@ class DriverTrace:
     def total_inner_iterations(self) -> int:
         return sum(r.inner_iterations for r in self.records)
 
-    def as_rows(self) -> list:
-        return [
-            {
-                "k": r.k,
-                "t": r.t,
-                "f": r.f,
-                "maxVio": r.max_vio,
-                "fullVio": r.full_vio,
-                "innerIters": r.inner_iterations,
-                "eps": r.eps_achieved,
-            }
-            for r in self.records
-        ]
-
     def to_csv(self, path) -> None:
-        rows = self.as_rows()
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["k", "t", "f", "maxVio", "fullVio", "innerIters", "eps"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"reason": self.reason.value if self.reason else None, "records": self.as_rows()}
-        )
+            writer = csv.writer(fh)
+            writer.writerow(["k", "t", "f", "maxVio", "fullVio", "innerIters", "eps"])
+            writer.writerows([r.k, r.t, r.f, r.max_vio, r.full_vio, r.inner_iterations,
+                              r.eps_achieved] for r in self.records)
 
 
 @dataclass

@@ -9,9 +9,10 @@ An MPVC is a smooth nonlinear program of the form
          G_i(x) H_i(x) <= 0   (i = 1..l)
 
 where the implicit bound ``G_i <= 0`` switches off ("vanishes") wherever
-``H_i = 0``.  This module holds the problem container, the activity-banded
-index-set partition of the vanishing pairs, and the two violation measures
-used by the outer regularization loop.
+``H_i = 0``.  This module holds the problem container, ``pair_classes``
+(the one statement of the activity banding of the vanishing pairs, which
+``index_sets`` reports as index lists and ``stationarity`` and ``cq`` read),
+and the two violation measures used by the outer regularization loop.
 """
 from __future__ import annotations
 
@@ -92,46 +93,20 @@ class MpvcProblem:
 PAIR_CLASSES = ("I_plus0", "I_plusminus", "I_0plus", "I_00", "I_0minus")
 
 
-@dataclass(frozen=True)
-class IndexSets:
-    """Activity partition of the vanishing pairs at a point.
+def pair_classes(Gv: np.ndarray, Hv: np.ndarray, tau_act: float) -> np.ndarray:
+    """The class of each vanishing pair, as an index into ``PAIR_CLASSES``.
 
     The first subscript encodes the sign class of H_i, the second the sign
     class of G_i; a value v is classed "0" iff |v| <= tau_act, "+" iff
-    v > tau_act and "-" iff v < -tau_act.  Indices are 0-based.
+    v > tau_act and "-" iff v < -tau_act.
 
     Combinations that cannot occur at a feasible point are folded onto the
-    nearest feasible class so that the five sets always partition
-    {0..l-1}: H below -tau_act counts as "0" (the bound is violated, the
-    pair sits on the H-boundary for classification purposes) and G above
+    nearest feasible class so that the five classes always partition the
+    pairs: H below -tau_act counts as "0" (the bound is violated, the pair
+    sits on the H-boundary for classification purposes) and G above
     tau_act with H above tau_act counts as "+0" (the product constraint is
     violated, i.e. active).
     """
-
-    I_g: frozenset
-    I_plus0: frozenset
-    I_plusminus: frozenset
-    I_0plus: frozenset
-    I_00: frozenset
-    I_0minus: frozenset
-    tau_act: float
-
-    @property
-    def I_plus(self) -> frozenset:
-        return self.I_plus0 | self.I_plusminus
-
-    @property
-    def I_0(self) -> frozenset:
-        return self.I_0plus | self.I_00 | self.I_0minus
-
-    def as_dict(self) -> dict:
-        sets = {name: sorted(getattr(self, name)) for name in ("I_g", *PAIR_CLASSES)}
-        return {**sets, "tau_act": self.tau_act}
-
-
-def pair_classes(Gv: np.ndarray, Hv: np.ndarray, tau_act: float) -> np.ndarray:
-    """The class of each vanishing pair, as an index into ``PAIR_CLASSES``,
-    under the banding and folding rules of ``IndexSets``."""
     if tau_act <= 0.0:
         raise ParameterError("tau_act must be positive")
     G_minus = Gv < -tau_act
@@ -139,22 +114,19 @@ def pair_classes(Gv: np.ndarray, Hv: np.ndarray, tau_act: float) -> np.ndarray:
                     np.where(Gv > tau_act, 2, np.where(G_minus, 4, 3)))
 
 
-def index_sets(problem: MpvcProblem, x: np.ndarray, tau_act: float = 1e-8) -> IndexSets:
-    """Classify the vanishing pairs and active inequalities at ``x``.
+def index_sets(problem: MpvcProblem, x: np.ndarray, tau_act: float = 1e-8) -> dict:
+    """The active inequalities and the pair classes at ``x``.
 
-    Parameters
-    ----------
-    problem : MpvcProblem
-    x : array of length n
-    tau_act : float
-        Absolute activity tolerance; must be positive.
+    Returns ``{"I_g": [...], "I_plus0": [...], ..., "I_0minus": [...],
+    "tau_act": tau_act}``: sorted 0-based index lists, ``I_g`` holding the
+    i with g_i >= -tau_act and the five classes of ``PAIR_CLASSES`` banded
+    by ``pair_classes``.  tau_act is absolute and must be positive.
     """
     x = problem.check_point(x)
     cls = pair_classes(problem.G(x)[0], problem.H(x)[0], tau_act)
-    sets = {name: frozenset(np.flatnonzero(cls == k).tolist())
-            for k, name in enumerate(PAIR_CLASSES)}
-    I_g = frozenset(np.flatnonzero(problem.g(x)[0] >= -tau_act).tolist())
-    return IndexSets(I_g=I_g, **sets, tau_act=tau_act)
+    sets = {name: np.flatnonzero(cls == k).tolist() for k, name in enumerate(PAIR_CLASSES)}
+    I_g = np.flatnonzero(problem.g(x)[0] >= -tau_act).tolist()
+    return {"I_g": I_g, **sets, "tau_act": tau_act}
 
 
 def max_vio(problem: MpvcProblem, x: np.ndarray) -> float:

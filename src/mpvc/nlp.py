@@ -311,9 +311,12 @@ def solve_nlp(
         just_reset = False
 
         # Damped BFGS on the Lagrangian; reset on lost curvature or
-        # runaway entries.  Heavily truncated steps are skipped: with the
-        # move limit above they are rare, and their multipliers carry no
-        # usable curvature (one such pair can poison the metric).
+        # runaway entries.  Heavily truncated steps (alpha < 0.2) are
+        # skipped: their multipliers carry no usable curvature, and one such
+        # pair can poison the metric.  They are common: half the accepted
+        # steps on ten-bar, 2706 of 2957 on aerothermo N=8 (3 of 9203 on
+        # academic).  Updating on them too raised N=8 LOCAL's f from 112.35
+        # to 121.42 and N=30 LOCAL's SQP iterations from 74 to 179.
         if alpha >= 0.2:
             s = alpha * step_vec
             y = grad_t - grad_f

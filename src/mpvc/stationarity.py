@@ -26,7 +26,9 @@ multiplier at zero; ``classify`` grades any multiplier set;
 ``find_multipliers`` fits multipliers directly by sign-constrained linear
 least squares when none are available (e.g. for the direct baseline); and
 ``grade_at`` grades a point from one table, by recovered multipliers where
-they reach Weak and by the fit elsewhere.
+they reach Weak and by the fit elsewhere.  All three band the table at
+tau_eff = tau * (1 + ||grad f||_inf) (``_band``), so ``classify`` of the fit
+at tau is ``grade_at``'s grade at tau without recovered multipliers.
 """
 from __future__ import annotations
 
@@ -159,17 +161,21 @@ def weak_stationarity_table(
     return At.T, kind, violation(gv, hv, Gv, Hv)
 
 
-def _band(grad_f: np.ndarray, tau: float) -> float:
-    """tau_eff = tau * (1 + ||grad f||_inf)."""
+def _band(problem: MpvcProblem, x: np.ndarray, tau: float) -> tuple:
+    """``(grad_f, tau_eff, table)`` at x: the one banding of every grade and
+    fit, tau_eff = tau * (1 + ||grad f||_inf), and the
+    ``weak_stationarity_table`` banded with it."""
     if tau <= 0:
         raise PreconditionError("tau must be positive")
-    return tau * (1.0 + float(abs(grad_f).max(initial=0.0)))
+    x = problem.check_point(x)
+    _, grad_f = problem.f(x)
+    tau_eff = tau * (1.0 + float(abs(grad_f).max(initial=0.0)))
+    return grad_f, tau_eff, weak_stationarity_table(problem, x, tau_eff)
 
 
-def _report(problem: MpvcProblem, table: tuple, grad_f: np.ndarray, z: np.ndarray,
-            tau_eff: float) -> StationarityReport:
-    """``classify`` of z = [lam; mu; etaH; etaG] on the table at tau_eff."""
-    A, kind, vio = table
+def _report(problem: MpvcProblem, banded: tuple, z: np.ndarray) -> StationarityReport:
+    """``classify`` of z = [lam; mu; etaH; etaG] on a ``_band`` result."""
+    grad_f, tau_eff, (A, kind, vio) = banded
     resid = grad_f + A @ z
     stat = float(abs(resid).max()) if resid.size else 0.0
     zs, codes = z.tolist(), kind.tolist()
@@ -214,11 +220,8 @@ def classify(
     Weak -> T -> M -> S only while every lower check passes, so reports
     always respect the implication ordering.
     """
-    x = problem.check_point(x)
-    _, grad_f = problem.f(x)
-    tau_eff = _band(grad_f, tau)
     z = np.concatenate((mult.lam, mult.mu, mult.eta_H, mult.eta_G))
-    return _report(problem, weak_stationarity_table(problem, x, tau_eff), grad_f, z, tau_eff)
+    return _report(problem, _band(problem, x, tau), z)
 
 
 def _fit(A: np.ndarray, kind: np.ndarray, grad_f: np.ndarray) -> np.ndarray:
@@ -242,23 +245,23 @@ def _fit(A: np.ndarray, kind: np.ndarray, grad_f: np.ndarray) -> np.ndarray:
 def find_multipliers(
     problem: MpvcProblem,
     x: np.ndarray,
-    tau_act: float = 1e-8,
+    tau: float = 1e-6,
 ) -> tuple[MpvcMultipliers, float]:
     """Fit weak-stationarity multipliers at x by least squares.
 
     Minimizes the 2-norm of the gradient-equation residual over the entries
     of z that ``weak_stationarity_table`` does not hold at zero (index sets
-    banded with tau_act), subject to their sign constraints; every other
-    multiplier is 0.  A^T A gets the Tikhonov term 1e-14 * (1 + (A^T A)_jj)
-    on column j, scaled per column as in Marquardt (1963).  Returns the
-    fitted multipliers and the inf-norm of the remaining residual.
-    Requires x approximately feasible (full_violation <= 1e-4).
+    banded with classify's tau_eff), subject to their sign constraints;
+    every other multiplier is 0, so ``classify`` of the fit at the same tau
+    is ``grade_at``'s grade without recovered multipliers.  A^T A gets the
+    Tikhonov term 1e-14 * (1 + (A^T A)_jj) on column j, scaled per column
+    as in Marquardt (1963).  Returns the fitted multipliers and the
+    inf-norm of the remaining residual.  Requires x approximately feasible
+    (full_violation <= 1e-4).
     """
-    x = problem.check_point(x)
-    A, kind, vio = weak_stationarity_table(problem, x, tau_act)
+    grad_f, _, (A, kind, vio) = _band(problem, x, tau)
     if vio > 1e-4:
         raise PreconditionError("find_multipliers needs an approximately feasible point")
-    _, grad_f = problem.f(x)
     z = _fit(A, kind, grad_f)
     resid = grad_f + A @ z
     mult = MpvcMultipliers(*np.split(z, np.cumsum([problem.m, problem.p, problem.l])))
@@ -271,15 +274,12 @@ def grade_at(problem: MpvcProblem, x: np.ndarray, tau: float,
     f and one table: that of the ``recovered`` multipliers where it is Weak
     or better, else that of multipliers fitted as by ``find_multipliers``
     (NotWeak where x is too infeasible to fit)."""
-    x = problem.check_point(x)
-    _, grad_f = problem.f(x)
-    tau_eff = _band(grad_f, tau)
-    table = A, kind, vio = weak_stationarity_table(problem, x, tau_eff)
+    banded = grad_f, _, (A, kind, vio) = _band(problem, x, tau)
     if recovered is not None:
         z = np.concatenate((recovered.lam, recovered.mu, recovered.eta_H, recovered.eta_G))
-        grade = _report(problem, table, grad_f, z, tau_eff).grade
+        grade = _report(problem, banded, z).grade
         if grade >= Grade.WEAK:
             return grade
     if vio > 1e-4:
         return Grade.NOT_WEAK
-    return _report(problem, table, grad_f, _fit(A, kind, grad_f), tau_eff).grade
+    return _report(problem, banded, _fit(A, kind, grad_f)).grade

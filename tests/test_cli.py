@@ -7,6 +7,7 @@ from mpvc.cli import main, run_grid, _grid_points
 from mpvc.nlp import solve_nlp
 from mpvc.problems import academic, assemble_stiffness, ten_bar
 from mpvc.regularize import direct_nlp
+from mpvc.stationarity import Grade, grade_at
 
 
 def run(args):
@@ -254,6 +255,19 @@ def test_check_interior_point(tmp_path):
     run(["check", "--problem", "academic", "--x0", "10,10", "--out", str(tmp_path)])
     report = json.loads((tmp_path / "check.json").read_text())
     assert report["grade"] == "NotWeak"
+
+
+def test_check_grades_as_grade_at_where_solve_ended(tmp_path):
+    # at the ten-bar NONSMOOTH end point check prints grade_at's grade at
+    # tau = 1e-4 (M); a fit banded at the absolute tau_act printed NotWeak
+    assert run(["solve", "--problem", "ten_bar", "--scheme", "nonsmooth",
+                "--out", str(tmp_path)]) == 0
+    x = json.loads((tmp_path / "result.json").read_text())["x"]
+    assert run(["check", "--problem", "ten_bar", f"--x0={','.join(map(repr, x))}",
+                "--out", str(tmp_path)]) == 0
+    grade = grade_at(ten_bar(), np.array(x), 1e-4)
+    assert grade >= Grade.WEAK
+    assert json.loads((tmp_path / "check.json").read_text())["grade"] == grade.label()
 
 
 def test_grid_single_cell(tmp_path):

@@ -60,8 +60,9 @@ def test_trace_serialization(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,t,f,maxVio,fullVio,innerIters,eps"
     assert len(lines) == 1 + res.trace.outer_iterations
-    payload = res.trace.to_json()
-    assert "records" in payload and "reason" in payload
+    for line, r in zip(lines[1:], res.trace.records):
+        assert line.split(",") == [str(v) for v in (r.k, r.t, r.f, r.max_vio, r.full_vio,
+                                                    r.inner_iterations, r.eps_achieved)]
 
 
 def test_driver_deterministic():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fd import fd_gradient, fd_jacobian
-from mpvc.errors import DimensionMismatch, ParameterError
+from mpvc.errors import DimensionMismatch, ParameterError, PreconditionError
 from mpvc.model import PAIR_CLASSES, full_violation, index_sets, max_vio, pair_classes
 from mpvc.problems import academic
 from mpvc.stationarity import find_multipliers
@@ -17,17 +17,15 @@ def test_index_sets_academic_local_min():
     # At (0, 5): H = (0, 5), G = (5 sqrt2 - 5, 0): pair 0 is (H=0, G>0),
     # pair 1 is (H>0, G=0).
     ix = index_sets(academic(), np.array([0.0, 5.0]), tau_act=1e-8)
-    assert ix.I_0plus == {0}
-    assert ix.I_plus0 == {1}
-    assert not ix.I_00 and not ix.I_0minus and not ix.I_plusminus
-    assert ix.I_g == frozenset()
+    assert ix == {"I_g": [], "I_plus0": [1], "I_plusminus": [], "I_0plus": [0],
+                  "I_00": [], "I_0minus": [], "tau_act": 1e-8}
 
 
 def test_index_sets_academic_origin():
     # H = (0, 0), G = (5 sqrt2, 5) > 0: both pairs land in I_0plus.
     ix = index_sets(academic(), np.zeros(2), tau_act=1e-8)
-    assert ix.I_0plus == {0, 1}
-    assert ix.I_plus0 == set() and ix.I_00 == set()
+    assert ix["I_0plus"] == [0, 1]
+    assert ix["I_plus0"] == [] and ix["I_00"] == []
 
 
 def test_index_sets_all_biactive():
@@ -37,7 +35,7 @@ def test_index_sets_all_biactive():
     # a synthetic all-zero evaluation instead: x = (0, 5) perturbed cannot
     # make both zero, hence check the classification rule directly.
     ix = index_sets(prob, np.array([0.0, 5.0 * SQRT2]), tau_act=1e-8)
-    assert ix.I_00 == {0}  # H1 = 0, G1 = 5 sqrt2 - 5 sqrt2 = 0
+    assert ix["I_00"] == [0]  # H1 = 0, G1 = 5 sqrt2 - 5 sqrt2 = 0
 
 
 def test_index_sets_partition_random_points():
@@ -46,11 +44,8 @@ def test_index_sets_partition_random_points():
     for _ in range(200):
         x = rng.uniform(-10, 25, size=2)
         ix = index_sets(prob, x, tau_act=1e-6)
-        sets = [ix.I_plus0, ix.I_plusminus, ix.I_0plus, ix.I_00, ix.I_0minus]
-        union = set().union(*sets)
-        assert union == {0, 1}
-        total = sum(len(s) for s in sets)
-        assert total == 2  # pairwise disjoint
+        sets = [ix[name] for name in PAIR_CLASSES]
+        assert sorted(sum(sets, [])) == [0, 1]  # a partition of the pairs
 
 
 def test_index_sets_tau_monotonicity():
@@ -61,11 +56,10 @@ def test_index_sets_tau_monotonicity():
         small = index_sets(prob, x, tau_act=1e-8)
         big = index_sets(prob, x, tau_act=1e-2)
         # indices only move into the "0" bands as tau grows
-        assert small.I_00 <= big.I_00 | big.I_plus0 | big.I_0plus | big.I_0minus
-        for i in big.I_plusminus:
-            assert i in small.I_plusminus
-        for i in big.I_0plus:
-            assert i in small.I_0plus | small.I_plusminus or i in small.I_0plus
+        assert set(small["I_00"]) <= set(big["I_00"] + big["I_plus0"] + big["I_0plus"]
+                                         + big["I_0minus"])
+        assert set(big["I_plusminus"]) <= set(small["I_plusminus"])
+        assert set(big["I_0plus"]) <= set(small["I_0plus"] + small["I_plusminus"])
 
 
 def test_pair_classes_match_the_rules():
@@ -92,8 +86,8 @@ def test_index_sets_bad_inputs():
         index_sets(prob, np.zeros(3))
     with pytest.raises(ParameterError):
         index_sets(prob, np.zeros(2), tau_act=0.0)
-    with pytest.raises(ParameterError):
-        find_multipliers(prob, np.array([0.0, 5.0]), tau_act=0.0)
+    with pytest.raises(PreconditionError):
+        find_multipliers(prob, np.array([0.0, 5.0]), tau=0.0)
 
 
 def test_max_vio_values():

@@ -11,8 +11,8 @@ from mpvc.nlp import NlpSolution, SolveStatus, solve_nlp
 from mpvc.model import full_violation, index_sets
 from mpvc.driver import DriverConfig, solve_mpvc
 from mpvc.nlp import SolverLimits
-from mpvc.problems import academic, aerothermo, counterexamples, ten_bar
-from mpvc.regularize import Scheme, regularize
+from mpvc.problems import academic, aerothermo, assemble_stiffness, counterexamples, ten_bar
+from mpvc.regularize import Scheme, direct_nlp, regularize
 from mpvc.stationarity import (
     Grade,
     MpvcMultipliers,
@@ -108,16 +108,17 @@ class TestRecovery:
                 prob, Scheme.GLOBAL, t, make_solution(nlp, x, lam, mu), tau_act
             )
             ix = index_sets(prob, x, tau_act)
+            I_plus = ix["I_plus0"] + ix["I_plusminus"]
             G, _ = prob.G(x)
             H, _ = prob.H(x)
             nu = lam[nlp.provenance.rows_neg_H]
             delta = lam[nlp.provenance.rows_kernel]
             for i in range(prob.l):
-                on_g = i in ix.I_00 or i in ix.I_plus0
+                on_g = i in ix["I_00"] or i in ix["I_plus0"]
                 assert mult.eta_G[i] == (delta[i] * H[i] if on_g else 0.0)
-                assert mult.eta_H[i] == (nu[i] if i in ix.I_plus else nu[i] - delta[i] * G[i])
-            saw_plus0 |= bool(ix.I_plus0)
-            saw_zero |= bool(ix.I_0)
+                assert mult.eta_H[i] == (nu[i] if i in I_plus else nu[i] - delta[i] * G[i])
+            saw_plus0 |= bool(ix["I_plus0"])
+            saw_zero |= len(I_plus) < prob.l
         assert saw_plus0 and saw_zero
 
     def test_provenance_required(self):
@@ -238,18 +239,18 @@ class TestWeakStationarityTable:
     def off_table(prob, ix):
         """The slots weak stationarity holds at 0."""
         return (
-            [("lam", i) for i in range(prob.m) if i not in ix.I_g]
-            + [("eta_H", i) for i in sorted(ix.I_plus)]
-            + [("eta_G", i) for i in sorted(ix.I_plusminus | ix.I_0plus | ix.I_0minus)]
+            [("lam", i) for i in range(prob.m) if i not in ix["I_g"]]
+            + [("eta_H", i) for i in sorted(ix["I_plus0"] + ix["I_plusminus"])]
+            + [("eta_G", i) for i in sorted(ix["I_plusminus"] + ix["I_0plus"] + ix["I_0minus"])]
         )
 
     @staticmethod
     def signed_slots(prob, ix):
         """The slots weak stationarity asks to be nonnegative."""
         return (
-            [("lam", i) for i in sorted(ix.I_g)]
-            + [("eta_H", i) for i in sorted(ix.I_0minus)]
-            + [("eta_G", i) for i in sorted(ix.I_plus0 | ix.I_00)]
+            [("lam", i) for i in ix["I_g"]]
+            + [("eta_H", i) for i in ix["I_0minus"]]
+            + [("eta_G", i) for i in sorted(ix["I_plus0"] + ix["I_00"])]
         )
 
     @staticmethod
@@ -311,7 +312,8 @@ class TestWeakStationarityTable:
             if full_violation(prob, x) > 1e-4:
                 continue
             mult, _ = find_multipliers(prob, x)
-            for kind, i in self.off_table(prob, index_sets(prob, x, 1e-8)):
+            tau_eff = classify(prob, x, mult).tau               # the fit's banding
+            for kind, i in self.off_table(prob, index_sets(prob, x, tau_eff)):
                 assert getattr(mult, kind)[i] == 0.0
             checked += 1
         assert checked >= 3
@@ -354,10 +356,9 @@ class TestFindMultipliers:
             find_multipliers(academic(), np.array([0.0, 2.5]))
 
     def test_pair_evaluations_per_call(self):
-        # classify evaluates G once; find_multipliers at most twice (the
-        # feasibility check and the table); grade_at evaluates G and f
-        # once, also when recovered multipliers grade below Weak and it
-        # falls back to the fit
+        # classify and find_multipliers evaluate G once; grade_at evaluates
+        # G and f once, also when recovered multipliers grade below Weak and
+        # it falls back to the fit
         truss = ten_bar()
         a0, u0 = np.split(truss.known_points["x0"], [truss.l])
         for prob, x in ((academic(), np.array([0.0, 5.0])),
@@ -378,7 +379,7 @@ class TestFindMultipliers:
             fit_calls = calls.count("G")
             calls.clear()
             classify(counted, x, mult)
-            assert fit_calls <= 2 and calls.count("G") == 1, prob.name
+            assert fit_calls == 1 and calls.count("G") == 1, prob.name
             ones = MpvcMultipliers(*(np.ones_like(v) for v in
                                      (mult.lam, mult.mu, mult.eta_H, mult.eta_G)))
             assert classify(prob, x, ones, tau=1e-6).grade < Grade.WEAK
@@ -445,3 +446,70 @@ def test_recovered_multipliers_never_lower_the_grade(scheme):
         mult = recover_mpvc_multipliers(prob, scheme, res.last_t, res.last_solution)
         for tau in (1e-6, 1e-4):
             assert grade_at(prob, res.x, tau, recovered=mult) >= grade_at(prob, res.x, tau)
+
+
+def ten_bar_starts(count, seed, areas=(0.5, 2.0)):
+    """Ten-bar points with areas drawn in ``areas`` and displacements K(a)^-1 f."""
+    truss = ten_bar()
+    geo = truss.meta["geometry"]
+    for a in np.random.default_rng(seed).uniform(*areas, size=(count, truss.l)):
+        yield truss, np.concatenate([a, np.linalg.solve(assemble_stiffness(geo, a), geo.load)])
+
+
+@pytest.fixture(scope="module")
+def end_points():
+    """Driver end points in every scheme and direct end points, from four
+    academic starts and four ten-bar starts (the stored one and three
+    drawn by ``ten_bar_starts``)."""
+    truss = ten_bar()
+    starts = [(academic(), np.array(x0))
+              for x0 in ([1.0, 1.0], [3.0, -2.0], [10.0, 10.0], [-5.0, 20.0])]
+    starts += [(truss, truss.known_points["x0"]), *ten_bar_starts(3, 7)]
+    points = []
+    for prob, x0 in starts:
+        points += [(prob, solve_mpvc(prob, DriverConfig(scheme=scheme), x0).x)
+                   for scheme in Scheme]
+        points.append((prob, solve_nlp(direct_nlp(prob), x0, eps_target=1e-9).x))
+    return points
+
+
+@pytest.mark.parametrize("tau", [1e-6, 1e-4])
+def test_fit_grades_as_grade_at(end_points, tau):
+    # classify of find_multipliers' fit is grade_at's grade without
+    # recovered multipliers: both band the table at classify's tau_eff (a fit
+    # banded at a fixed 1e-8 graded the ten-bar NONSMOOTH end point NotWeak)
+    checked = 0
+    for prob, x in end_points:
+        if full_violation(prob, x) > 1e-4:
+            assert grade_at(prob, x, tau) is Grade.NOT_WEAK
+            continue
+        mult, _ = find_multipliers(prob, x, tau)
+        assert classify(prob, x, mult, tau).grade == grade_at(prob, x, tau), (prob.name, x)
+        checked += 1
+    assert checked >= 30
+
+
+def test_fit_residual_matches_scipy_lsq_linear(end_points):
+    # the fit's residual against scipy's bounded least squares on the same
+    # columns and sign bounds, at end points and at feasible points that are
+    # not stationary
+    optimize = pytest.importorskip("scipy.optimize")
+    grid = np.random.default_rng(8).uniform(0.0, 12.0, size=(30, 2))
+    points = (end_points + [(academic(), x) for x in grid]
+              + [(academic(), np.array([0.0, y])) for y in np.linspace(5.0, 12.0, 8)]
+              + list(ten_bar_starts(10, 8, areas=(1.0, 3.0))))
+    residuals = []
+    for prob, x in points:
+        if full_violation(prob, x) > 1e-4:
+            continue
+        mult, resid = find_multipliers(prob, x)
+        A, kind, _ = weak_stationarity_table(prob, x, classify(prob, x, mult).tau)
+        _, grad_f = prob.f(x)
+        cols = kind.nonzero()[0]
+        lower = np.where(kind[cols] == 2, 0.0, -np.inf)
+        ref = optimize.lsq_linear(A[:, cols], -grad_f, bounds=(lower, np.inf),
+                                  method="bvls", tol=1e-14)
+        expected = float(abs(grad_f + A[:, cols] @ ref.x).max())
+        assert resid == pytest.approx(expected, rel=1e-6, abs=1e-7 * (1 + abs(grad_f).max()))
+        residuals.append(resid)
+    assert len(residuals) >= 60 and sum(r > 0.5 for r in residuals) >= 20

@@ -13,8 +13,10 @@ epsilons, and the grade.  It then solves the aerothermo N=8 fixture of
 acceptance criterion 6 (K_e x6, ``max_iter=400``, about 12 s) in every
 mode and prints one plain-text line per mode, with the inner statuses and
 iterations and the final f, and one sha256 over the final points.  Last it
-prints the same lines, without a digest, for LOCAL and direct on
-aerothermo N=30 with the CLI's default constants (a few seconds each).  Run it
+prints the same lines, without a digest, on aerothermo N=30 with the CLI's
+default constants: LOCAL and direct (a few seconds each), then GLOBAL,
+LSHAPED and NONSMOOTH (about 95 s together), whose end values a path change
+can move (plain text, no gate).  Run it
 from each checkout: it imports the ``src/`` and ``perfbench/`` next to it,
 with one BLAS thread, since the thread count can change the rounding.
 """
@@ -88,7 +90,8 @@ def main() -> int:
     prob = mods["problems"].aerothermo(N=8, constants=AERO_CONSTANTS)
     digest = aero_lines(mods, prob, mods["nlp"].SolverLimits(max_iter=400), bench.ALL_MODES)
     print(f"aerothermo N=8 K_e x6 solves={len(bench.ALL_MODES)} sha256={digest}")
-    aero_lines(mods, mods["problems"].aerothermo(N=30), limits, ("local", "direct"))
+    aero_lines(mods, mods["problems"].aerothermo(N=30), limits,
+               ("local", "direct", "global", "lshaped", "nonsmooth"))
     return 0
 
 
