@@ -168,6 +168,7 @@ def solve_nlp(
     lam0 : optional array of length nlp.n_ineq
         Warm-start multipliers; their positive rows are the first QP's
         working set.  The merit penalty starts at 1 whatever they are.
+        Another length raises PreconditionError, as for x0.
 
     Returns
     -------
@@ -198,7 +199,11 @@ def solve_nlp(
     # the last QP's working set; after an elastic QP it keeps the slack
     # rows, which the next elastic QP reuses and the plain QP skips
     W: Optional[list] = None
-    if lam0 is not None and lam0.shape == (nlp.n_ineq,):
+    if lam0 is not None:
+        lam0 = np.asarray(lam0, dtype=float)
+        if lam0.shape != (nlp.n_ineq,):
+            raise PreconditionError(
+                f"lam0 has shape {lam0.shape}, expected ({nlp.n_ineq},)")
         W = [int(i) for i in np.flatnonzero(lam0 > 1e-10)]
 
     just_reset = False
@@ -243,17 +248,6 @@ def solve_nlp(
             rho = max(rho_req, 1.5 * rho)
         elif rho > 100.0 * rho_req:
             rho = max(rho_req, 0.1 * rho, 1.0)
-
-        # Move limit: far from a solution the full QP step can leave the
-        # linearization's region of validity by orders of magnitude, which
-        # forces tiny line-search steps; scaling d preserves the l1-merit
-        # descent property (the linearized violation is convex along d).
-        # The cap is at least 1, so max|x| is needed only for longer steps.
-        d_norm = float(abs(d).max()) if d.size else 0.0
-        if d_norm > 1.0:
-            move_cap = max(1.0, 0.2 * (1.0 + float(abs(x).max())))
-            if d_norm > move_cap:
-                d = d * (move_cap / d_norm)
 
         viol_lin = _l1_violation(g_vals + Jg @ d, h_vals + Jh @ d)
         descent = float(grad_f @ d) - rho * (viol0 - viol_lin)

@@ -140,7 +140,7 @@ def test_tmin_reached_after_converged_solve():
     res = solve_mpvc(academic(), config, np.array([10.0, 10.0]))
     (rec,) = res.trace.records
     assert rec.inner_status is SolveStatus.CONVERGED
-    assert rec.max_vio == pytest.approx(0.995, abs=1e-3)
+    assert rec.max_vio == pytest.approx(0.982, abs=1e-3)
     assert res.trace.reason is StopReason.TMIN
 
 
@@ -150,7 +150,9 @@ def test_inner_failure_when_last_solve_fails():
     res = solve_mpvc(academic(), config, np.array([1.0, 1.0]))
     (rec,) = res.trace.records
     assert rec.inner_status is SolveStatus.ITER_LIMIT
-    assert max_vio(academic(), res.x) > 1e-6
+    # the one full step ends where every product G_i H_i is negative but
+    # H is violated: the full MPVC violation is what the outer loop tests
+    assert full_violation(academic(), res.x) > config.tol
     assert res.trace.reason is StopReason.INNER_FAILURE
 
 
@@ -170,13 +172,13 @@ def test_eps_inner_reaches_inner_solves(monkeypatch):
 
 
 def test_continues_from_the_point_it_warm_starts_with(monkeypatch):
-    # ten-bar-gld seed 7 instance 13: its first inner solve (t = 1) ends
+    # ten-bar-gld seed 7 instance 17: its first inner solve (t = 1) ends
     # IterLimit/500, and the next one still starts from that solve's x
     # with its lam
     prob, x0 = ten_bar_start([
-        1.6599554596651733, 1.0489749004080895, 1.715537309457467, 0.9102045696187764,
-        1.388805747266152, 0.6378956313895601, 0.8772226951104536, 1.0755481130493594,
-        0.6147131274910839, 0.7420442901749132])
+        1.6780704389266567, 1.3026697051053624, 1.105176398292144, 0.6773197041814947,
+        1.347002175502783, 1.5074817046733349, 0.7943723349356384, 1.8632960404192696,
+        1.5772914995437908, 1.2796202568262953])
     calls = []
     solve_nlp = driver.solve_nlp
 

@@ -228,6 +228,37 @@ def test_warm_multipliers_only_pick_rows():
     assert a.epsilon_achieved == b.epsilon_achieved
 
 
+def test_bad_warm_multipliers_rejected():
+    # a wrong-length lam0 is an error, as a wrong-length x0 is, not a
+    # silent cold start; any array-like of the right length is accepted
+    nlp = bound_problem()
+    for lam0 in (np.ones(2), [[1.0]], []):
+        with pytest.raises(PreconditionError):
+            solve_nlp(nlp, np.array([5.0]), lam0=lam0)
+    sol = solve_nlp(nlp, np.array([5.0]), lam0=[1.0])
+    assert sol.status is SolveStatus.CONVERGED
+
+
+@pytest.mark.parametrize("with_row", [False, True])
+def test_full_qp_step_from_far_away(with_row):
+    # min 1/2 ||x - a||^2 from x = 0: with B = I the first QP step lands on
+    # a exactly, so the line search takes it whole and the next iteration
+    # certifies a; the row x1 <= 200 stays inactive
+    a = np.array([100.0, -50.0])
+    ineq = None
+    if with_row:
+        ineq = lambda x: (np.array([x[0] - 200.0]), np.array([[1.0, 0.0]]))
+    nlp = simple_nlp(
+        objective=lambda x: (0.5 * float((x - a) @ (x - a)), x - a),
+        ineq=ineq,
+        n=2,
+    )
+    sol = solve_nlp(nlp, np.zeros(2))
+    assert sol.status is SolveStatus.CONVERGED
+    assert sol.total_iterations == 2
+    np.testing.assert_allclose(sol.x, a)
+
+
 def test_non_finite_start_rejected():
     nlp = simple_nlp(
         objective=lambda x: (float(np.log(x[0])), np.array([1.0 / x[0]])),
